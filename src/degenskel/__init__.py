@@ -21,7 +21,6 @@ from .dualcomplex import (
     build_complex,
     connected_components,
     monomial_to_barycentric,
-    retract_to_skeleton,
 )
 from .weight import (
     PluricanonicalForm,
@@ -43,6 +42,7 @@ from .flow import (
     flow_expansion,
     flow_value,
     flow_value_monomial,
+    flow_valuations,
     retract_point,
     twisted_expansion,
 )
@@ -75,6 +75,7 @@ __all__ = [
     "flow_expansion",
     "flow_value",
     "flow_value_monomial",
+    "flow_valuations",
     "form_problems",
     "format_rational",
     "global_weight",
@@ -88,7 +89,6 @@ __all__ = [
     "parse_polynomial",
     "parse_rational",
     "retract_point",
-    "retract_to_skeleton",
     "twisted_expansion",
     "uniformizer",
     "weight_at",

@@ -23,7 +23,7 @@ from .dualcomplex import (
 )
 from .errors import ValidationError
 from .field import format_rational, parse_rational
-from .flow import BasicModel, flow_expansion, flow_value, retract_point
+from .flow import BasicModel, flow_valuations, min_term_value, retract_point
 from .parsing import parse_element, parse_flow_time, parse_polynomial
 from .weight import (
     PluricanonicalForm,
@@ -59,18 +59,13 @@ def _load_form(path: str) -> PluricanonicalForm:
 
 
 def _emit(payload, output: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write text as is, or anything else as deterministic JSON."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output:
-        Path(output).write_text(text)
+        Path(output).write_text(payload)
     else:
-        sys.stdout.write(text)
-
-
-def _emit_text(text: str, output: str | None):
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
 def _point_from_arg(arg: str) -> SkeletonPoint:
@@ -79,7 +74,10 @@ def _point_from_arg(arg: str) -> SkeletonPoint:
         raise ValidationError(
             "point must be a JSON object with 'stratum' and 'barycentric'"
         )
-    coords = {k: parse_rational(str(v)) for k, v in data["barycentric"].items()}
+    try:
+        coords = {k: parse_rational(str(v)) for k, v in data["barycentric"].items()}
+    except ValueError as exc:
+        raise ValidationError(f"invalid barycentric coordinate: {exc}") from None
     return SkeletonPoint(data["stratum"], coords)
 
 
@@ -164,7 +162,7 @@ def _cmd_complex(args) -> int:
     model = _load_model(args.model)
     cx = build_complex(model)
     if args.dot:
-        _emit_text(cx.to_dot(), args.output)
+        _emit(cx.to_dot(), args.output)
         return 0
     payload = model.to_dict()
     payload["dimension"] = cx.top_dimension
@@ -212,14 +210,13 @@ def _cmd_flow(args) -> int:
     x = bm.rigid_point(parse_element(args.x1), parse_element(args.x2))
     s = parse_flow_time(args.s)
     f = parse_polynomial(args.f, arity=2)
-    expansion = flow_expansion(bm, x, f)
-    value = flow_value(bm, x, s, f)
+    valuations = flow_valuations(bm, x, f)
     _emit(
         {
-            "value": format_rational(value),
+            "value": format_rational(min_term_value(valuations, s)),
             "terms": [
-                {"i": i, "vK": format_rational(c.valuation())}
-                for i, c in sorted(expansion.items())
+                {"i": i, "vK": format_rational(v)}
+                for i, v in sorted(valuations.items())
             ],
         },
         args.output,

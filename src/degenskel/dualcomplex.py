@@ -279,6 +279,7 @@ class ModelDescription:
                 not isinstance(entry, dict)
                 or "id" not in entry
                 or "components" not in entry
+                or not isinstance(entry.get("faces") or {}, dict)
             ):
                 problems.append(f"malformed stratum entry {entry!r}")
                 continue
@@ -344,9 +345,6 @@ class DualComplex:
 
     def strata_of_dimension(self, d: int) -> list[str]:
         return [s.id for s in self.model.strata if s.dimension == d]
-
-    def vertices(self) -> list[str]:
-        return self.strata_of_dimension(0)
 
     def counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -523,29 +521,3 @@ def monomial_to_barycentric(
     s, alpha = _resolve_zeros(model, data.stratum, data.alpha)
     beta = {j: alpha[j] * model.multiplicity(j) for j in s.components}
     return SkeletonPoint(s.id, beta)
-
-
-def retract_to_skeleton(
-    model: ModelDescription, center_stratum: str, alpha: Mapping
-) -> SkeletonPoint:
-    """Skeleton point of the retraction, from extracted (center, alpha) data.
-
-    The data records the valuations of local equations of the components
-    through the center of a point; the retraction keeps exactly this
-    information, so the image is the skeleton point with coordinates
-    beta_j = alpha_j * N_j on the center's stratum.  All weights must be
-    positive here (a component through the center has positive valuation).
-    """
-    coords = _as_fraction_map(alpha)
-    s = _check_keys(model, center_stratum, coords)
-    if any(a <= 0 for a in coords.values()):
-        raise ValidationError(
-            f"stratum {center_stratum}: retraction weights must be positive"
-        )
-    total = sum(coords[j] * model.multiplicity(j) for j in s.components)
-    if total != 1:
-        raise ValidationError(
-            f"stratum {center_stratum}: weights must satisfy sum(alpha*N) = 1,"
-            f" got {total}"
-        )
-    return SkeletonPoint(s.id, {j: coords[j] * model.multiplicity(j) for j in s.components})

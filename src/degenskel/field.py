@@ -22,9 +22,9 @@ from fractions import Fraction
 INFINITY = math.inf
 
 # Sparse Laurent polynomial in t: exponent -> nonzero rational coefficient.
+# The helpers below also serve integer-scaled polynomials with int values.
 Coeffs = dict[int, Fraction]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -51,7 +51,7 @@ def _shift(p: Coeffs, k: int) -> Coeffs:
 def _add(a: Coeffs, b: Coeffs) -> Coeffs:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, _ZERO) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -64,7 +64,7 @@ def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            s = out.get(e, _ZERO) + ca * cb
+            s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
             else:
@@ -72,56 +72,38 @@ def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
     return out
 
 
-def _scale(p: Coeffs, c: Fraction) -> Coeffs:
+def _scale(p: Coeffs, c) -> Coeffs:
     return {e: v * c for e, v in p.items()}
 
 
-# -- dense helpers for gcd reduction (exponents >= 0, trimmed lists) --------
+def _integral(num: Coeffs, den: Coeffs) -> tuple[dict[int, int], dict[int, int]]:
+    """num and den multiplied by one positive integer that clears every
+    coefficient denominator, so the quotient is unchanged."""
+    lcm = math.lcm(*(c.denominator for c in num.values()),
+                   *(c.denominator for c in den.values()))
+    return (
+        {e: c.numerator * (lcm // c.denominator) for e, c in num.items()},
+        {e: c.numerator * (lcm // c.denominator) for e, c in den.items()},
+    )
 
 
-def _dense(p: Coeffs) -> list[Fraction]:
-    out = [_ZERO] * (max(p) + 1)
+# -- dense integer helpers for gcd reduction (exponents >= 0, trimmed lists) --
+
+
+def _dense(p: dict[int, int]) -> list[int]:
+    out = [0] * (max(p) + 1)
     for e, c in p.items():
         out[e] = c
     return out
 
 
-def _sparse(xs: list[Fraction]) -> Coeffs:
+def _sparse(xs: list[int]) -> dict[int, int]:
     return {e: c for e, c in enumerate(xs) if c}
 
 
-def _trim_dense(xs: list[Fraction]) -> list[Fraction]:
-    while xs and not xs[-1]:
-        xs.pop()
-    return xs
-
-
-def _divmod_dense(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    if len(a) < len(b):
-        return [], _trim_dense(a)
-    q = [_ZERO] * (len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / b[-1]
-        if c:
-            q[k] = c
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    return q, _trim_dense(a[: len(b) - 1])
-
-
 def _content_free(ints: list[int]) -> list[int]:
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
-
-
-def _int_primitive(xs: list[Fraction]) -> list[int]:
-    den = 1
-    for c in xs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return _content_free([int(c * den) for c in xs])
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -140,22 +122,30 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _gcd_dense(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd via a primitive pseudo-remainder sequence over the integers."""
-    first = _int_primitive(_trim_dense(list(a)))
-    second = _int_primitive(_trim_dense(list(b)))
+def _gcd_dense(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd via a primitive pseudo-remainder sequence over the integers."""
+    first, second = _content_free(a), _content_free(b)
     if len(second) > len(first):
         first, second = second, first
     while second:
         r = _prem(first, second)
         first, second = second, _content_free(r)
-    lead = first[-1]
-    return [Fraction(c, lead) for c in first]
+    return first
 
 
-def _div_exact(a: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    q, r = _divmod_dense(a, g)
-    if r:
+def _div_exact(a: list[int], g: list[int]) -> list[int]:
+    """Integer long division by a primitive divisor of a over Q, exact by
+    Gauss's lemma; an inexact step would leave a residue in a."""
+    a = list(a)
+    lg, n = g[-1], len(g)
+    q = [0] * (len(a) - n + 1)
+    for k in range(len(a) - n, -1, -1):
+        c = a[k + n - 1] // lg
+        if c:
+            q[k] = c
+            for i, gc in enumerate(g):
+                a[k + i] -= c * gc
+    if any(a):
         raise ArithmeticError("inexact polynomial division during reduction")
     return q
 
@@ -176,14 +166,16 @@ def _canonical(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     den0 = _shift(den, -low_d)
     if len(num0) > 1 and len(den0) > 1:
         # a one-term side is c*t^k, whose t-power is already shifted out
+        num0, den0 = _integral(num0, den0)
         g = _gcd_dense(_dense(num0), _dense(den0))
         if len(g) > 1:
             num0 = _sparse(_div_exact(_dense(num0), g))
             den0 = _sparse(_div_exact(_dense(den0), g))
     c = den0[0]
     if c != 1:
-        num0 = _scale(num0, 1 / c)
-        den0 = _scale(den0, 1 / c)
+        inv = _ONE / c
+        num0 = _scale(num0, inv)
+        den0 = _scale(den0, inv)
     return _shift(num0, low_n - low_d), den0
 
 
@@ -213,6 +205,10 @@ class BaseElement:
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
         return self
+
+    def _int_pair(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Numerator and denominator scaled to integer coefficients."""
+        return _integral(self._num, self._den)
 
     # -- valuation ----------------------------------------------------------
 

@@ -34,13 +34,15 @@ finite valuation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping
 
 from .dualcomplex import ModelDescription, MonomialPointData
 from .errors import ValidationError
-from .field import INFINITY, BaseElement, uniformizer
+from .field import INFINITY, BaseElement, _add, _mul, _scale, uniformizer
 from .monoval import MultivariatePoly
 
 
@@ -160,34 +162,35 @@ def _as_pair_poly(f: MultivariatePoly) -> MultivariatePoly:
     return f.with_arity(2)
 
 
-def _taylor_at_one(by_exp: Mapping[int, object], zero):
+def _taylor_at_one(by_exp: Mapping[int, object], add, scale):
     """Taylor coefficients around V = 1 after clearing the V-denominator.
 
     Takes a Laurent polynomial sum a_k V^k with coefficients in any exact
-    ring, multiplies by the minimal power of V making it a polynomial, and
-    returns the coefficients c_i of (V - 1)^i via the binomial transform
+    ring, given by its add and integer-scale operations, multiplies by the
+    minimal power of V making it a polynomial, and returns the nonzero
+    coefficients c_i of (V - 1)^i via the binomial transform
     c_i = sum_k C(k, i) a_k.
     """
     if not by_exp:
         return {}
     shift = max(0, -min(by_exp))
     dense = {k + shift: v for k, v in by_exp.items()}
-    top = max(dense)
     out = {}
-    for i in range(top + 1):
-        acc = zero
+    for i in range(max(dense) + 1):
+        acc = None
         for k, coeff in dense.items():
             if k >= i:
-                acc = acc + coeff * math.comb(k, i)
+                term = scale(coeff, math.comb(k, i))
+                acc = term if acc is None else add(acc, term)
         if acc:
             out[i] = acc
     return out
 
 
-def _min_term_value(values: Mapping[int, object], s):
+def min_term_value(valuations: Mapping[int, object], s):
     """min_i (v_i + i*s), treating the i = 0 slope specially so s = inf works."""
     best = INFINITY
-    for i, v in values.items():
+    for i, v in valuations.items():
         term = v if i == 0 else v + i * s
         if term < best:
             best = term
@@ -197,20 +200,61 @@ def _min_term_value(values: Mapping[int, object], s):
 # -- rigid points -------------------------------------------------------------
 
 
-def flow_expansion(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
-    """Nonzero Taylor coefficients c_i of the flow of f through a rigid point."""
+def _powers(num: dict, den: dict, top: int) -> list[dict]:
+    """[num^i * den^(top - i) for i = 0..top]: x^i over the common den^top."""
+    up, down = [{0: 1}], [{0: 1}]
+    for _ in range(top):
+        up.append(_mul(up[-1], num))
+        down.append(_mul(down[-1], den))
+    return [_mul(up[i], down[top - i]) for i in range(top + 1)]
+
+
+def _rigid_numerators(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
+    """Integer numerators P_i of the Taylor coefficients c_i = P_i / D, and D.
+
+    Every term d * x1^i * x2^j of f(x1 * V^M2, x2 * V^-M1) is brought over
+    D = den(x1)^I * den(x2)^J * (product of the distinct denominators of
+    f's coefficients), with I and J the top exponents of T1 and T2, after
+    scaling each fraction to integer coefficients.  Nothing is reduced, so
+    no gcd is taken; D has a nonzero constant term, so v(c_i) is the lowest
+    exponent of P_i.
+    """
     f = _as_pair_poly(f)
-    by_exp: dict[int, BaseElement] = {}
-    for (i, j), coeff in f.terms.items():
+    terms = [(ij, *c._int_pair()) for ij, c in f.terms.items()]
+    dens = {tuple(sorted(d.items())): d for _, _, d in terms}
+    cofactor = {
+        key: reduce(_mul, (d for other, d in dens.items() if other != key), {0: 1})
+        for key in dens
+    }
+    top_i = max((i for i, _ in f.terms), default=0)
+    top_j = max((j for _, j in f.terms), default=0)
+    (n1, d1), (n2, d2) = x.x1._int_pair(), x.x2._int_pair()
+    pow1, pow2 = _powers(n1, d1, top_i), _powers(n2, d2, top_j)
+    by_exp: dict[int, dict] = {}
+    for (i, j), n, d in terms:
         k = i * bm.m2 - j * bm.m1
-        term = coeff * x.x1**i * x.x2**j
-        acc = by_exp.get(k)
-        acc = term if acc is None else acc + term
+        lift = _mul(n, cofactor[tuple(sorted(d.items()))])
+        term = _mul(_mul(pow1[i], pow2[j]), lift)
+        acc = _add(by_exp.get(k, {}), term)
         if acc:
             by_exp[k] = acc
         else:
             by_exp.pop(k, None)
-    return _taylor_at_one(by_exp, BaseElement(0))
+    den = reduce(_mul, dens.values(), _mul(pow1[0], pow2[0]))
+    return _taylor_at_one(by_exp, _add, _scale), den
+
+
+def flow_valuations(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
+    """v(c_i) for the nonzero Taylor coefficients c_i of the flow of f
+    through a rigid point, computed without reducing any c_i."""
+    numerators, _ = _rigid_numerators(bm, x, f)
+    return {i: min(p) for i, p in numerators.items()}
+
+
+def flow_expansion(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
+    """Nonzero Taylor coefficients c_i of the flow of f through a rigid point."""
+    numerators, den = _rigid_numerators(bm, x, f)
+    return {i: BaseElement._make(p, den) for i, p in numerators.items()}
 
 
 def flow_value(bm: BasicModel, x: RigidPoint, s, f: MultivariatePoly):
@@ -221,8 +265,7 @@ def flow_value(bm: BasicModel, x: RigidPoint, s, f: MultivariatePoly):
     returned exactly when the expansion vanishes identically.
     """
     s = _check_flow_time(s)
-    expansion = flow_expansion(bm, x, f)
-    return _min_term_value({i: c.valuation() for i, c in expansion.items()}, s)
+    return min_term_value(flow_valuations(bm, x, f), s)
 
 
 def retract_point(bm: BasicModel, x: RigidPoint) -> MonomialPointData:
@@ -350,7 +393,7 @@ def twisted_expansion(bm: BasicModel, f: MultivariatePoly):
             by_exp[k] = acc
         else:
             by_exp.pop(k, None)
-    return _taylor_at_one(by_exp, TwistedElement(bm, {}))
+    return _taylor_at_one(by_exp, operator.add, operator.mul)
 
 
 def flow_value_monomial(bm: BasicModel, data: MonomialPointData, s, f: MultivariatePoly):
@@ -364,6 +407,6 @@ def flow_value_monomial(bm: BasicModel, data: MonomialPointData, s, f: Multivari
     s = _check_flow_time(s)
     a1, a2 = bm._edge_weights(data)
     expansion = twisted_expansion(bm, f)
-    return _min_term_value(
+    return min_term_value(
         {i: c.valuation(a1, a2) for i, c in expansion.items()}, s
     )

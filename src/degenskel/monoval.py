@@ -253,15 +253,6 @@ class MonomialWeights:
         """0-based positions of the strictly positive weights."""
         return tuple(i for i, a in enumerate(self.alpha) if a > 0)
 
-    def is_divisorial(self) -> bool:
-        """Whether the weights define a divisorial valuation.
-
-        That is the case exactly when every alpha_i is rational; the data
-        model only represents rationals, so this is always true.  The method
-        documents the representable subset rather than performing a check.
-        """
-        return True
-
     def restrict_to_support(self) -> MonomialWeights:
         """Drop the zero weights, lowering the arity.
 

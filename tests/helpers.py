@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,6 +145,33 @@ def random_rigid_point(rng, bm: BasicModel):
     u = random_unit(rng)
     t = uniformizer()
     return bm.rigid_point(t**a1 * u**bm.n2, t**a2 * u ** (-bm.n1))
+
+
+def reference_flow_expansion(bm: BasicModel, x, f: MultivariatePoly) -> dict:
+    """Flow expansion of f at a rigid point in canonical field arithmetic.
+
+    Reference for the integer-numerator path of flow_expansion: each term
+    x1^i * x2^j is a reduced BaseElement, terms are summed per V-exponent
+    k = i*M2 - j*M1, and the Taylor coefficients around V = 1 come from the
+    binomial transform c_i = sum_k C(k, i) a_k after clearing V.
+    """
+    by_exp: dict[int, BaseElement] = {}
+    for (i, j), coeff in f.with_arity(2).terms.items():
+        k = i * bm.m2 - j * bm.m1
+        by_exp[k] = by_exp.get(k, BaseElement(0)) + coeff * x.x1**i * x.x2**j
+    by_exp = {k: c for k, c in by_exp.items() if c}
+    if not by_exp:
+        return {}
+    shift = max(0, -min(by_exp))
+    out = {}
+    for i in range(max(by_exp) + shift + 1):
+        acc = BaseElement(0)
+        for k, coeff in by_exp.items():
+            if k + shift >= i:
+                acc = acc + coeff * math.comb(k + shift, i)
+        if acc:
+            out[i] = acc
+    return out
 
 
 def random_interior_point(rng, model: ModelDescription, stratum=None) -> SkeletonPoint:

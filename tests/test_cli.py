@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenskel import ModelDescription, PluricanonicalForm
+from degenskel import ModelDescription, PluricanonicalForm, field
 from degenskel.cli import main
 from helpers import FIXTURES
 
@@ -143,6 +143,22 @@ def test_flow_rejects_invalid_point(capsys):
     assert "must equal t" in err
 
 
+def test_flow_command_needs_no_gcd(capsys, monkeypatch):
+    # the point (t, 1) and f parse and validate without a gcd, while the
+    # reduced coefficient c0 = (1 + 2t)/(1 + t) of the canonical-arithmetic
+    # path would need one; the CLI prints valuations only, so none is taken
+    def no_gcd(a, b):
+        raise AssertionError("gcd taken on the flow path")
+
+    monkeypatch.setattr(field, "_gcd_dense", no_gcd)
+    code, out, _ = run(capsys, "flow", "1", "1", "t", "1", "1/2", "T1/(1+t) + T2")
+    assert code == 0
+    assert json.loads(out) == {
+        "value": "0",
+        "terms": [{"i": 0, "vK": "0"}, {"i": 1, "vK": "1"}, {"i": 2, "vK": "1"}],
+    }
+
+
 def test_retract_command(capsys):
     code, out, _ = run(capsys, "retract", "1", "1", "t*(1+t)", "1/(1+t)")
     assert code == 0
@@ -184,6 +200,26 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "complex", str(bad))
     assert code == 1
     assert "malformed JSON" in err
+
+
+def test_face_list_exits_1(tmp_path, capsys):
+    path = tmp_path / "faces.json"
+    path.write_text(json.dumps({
+        "components": [{"id": "A"}, {"id": "B"}],
+        "strata": [{"id": "AB", "components": ["A", "B"], "faces": ["A"]}],
+    }))
+    code, _, err = run(capsys, "complex", str(path))
+    assert code == 1
+    assert err.startswith("error: malformed stratum entry")
+
+
+def test_non_numeric_coordinate_exits_1(capsys):
+    point = json.dumps({"stratum": "C12", "barycentric": {"E1": "x", "E2": "1"}})
+    code, _, err = run(
+        capsys, "weight", fx("coordinate_planes.json"), fx("planes_form.json"), point
+    )
+    assert code == 1
+    assert err.startswith("error: invalid barycentric coordinate")
 
 
 def test_missing_file_exits_1(capsys):

@@ -15,7 +15,6 @@ from degenskel import (
     connected_components,
     monomial_to_barycentric,
     monomial_valuation,
-    retract_to_skeleton,
 )
 from helpers import load_model, random_interior_point, random_model, random_poly
 
@@ -45,7 +44,7 @@ def test_coordinate_planes_standard_2_simplex():
 def test_single_component_model():
     cx = build_complex(ModelDescription([("E1", 3)]))
     assert cx.counts() == {0: 1}
-    assert cx.vertices() == ["E1"]
+    assert cx.strata_of_dimension(0) == ["E1"]
 
 
 def test_parallel_edges_are_allowed():
@@ -175,33 +174,6 @@ def test_round_trip_on_interior_points_sampled():
             p = random_interior_point(rng, model)
             d = barycentric_to_monomial(model, p)
             assert monomial_to_barycentric(model, d) == p
-
-
-def test_retract_examples():
-    model = ModelDescription([("E1", 1), ("E2", 2)], [("C12", ("E1", "E2"), None)])
-    p = retract_to_skeleton(model, "C12", {"E1": Fraction(1, 2), "E2": Fraction(1, 4)})
-    assert p.stratum == "C12"
-    assert p.barycentric == {"E1": Fraction(1, 2), "E2": Fraction(1, 2)}
-
-    vertex_model = ModelDescription([("E1", 1)])
-    v = retract_to_skeleton(vertex_model, "E1", {"E1": 1})
-    assert v.stratum == "E1"
-    assert v.barycentric == {"E1": Fraction(1)}
-
-
-def test_retract_fixes_skeleton_points_sampled():
-    rng = random.Random(88)
-    for _ in range(25):
-        model = random_model(rng)
-        p = random_interior_point(rng, model)
-        d = barycentric_to_monomial(model, p)
-        assert retract_to_skeleton(model, d.stratum, d.alpha) == p
-
-
-def test_retract_requires_positive_weights():
-    model = ModelDescription([("E1", 1), ("E2", 2)], [("C12", ("E1", "E2"), None)])
-    with pytest.raises(ValidationError, match="positive"):
-        retract_to_skeleton(model, "C12", {"E1": 1, "E2": 0})
 
 
 def test_boundary_rule_matches_restricted_weights_sampled():

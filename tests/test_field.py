@@ -10,7 +10,7 @@ from degenskel import (
     parse_element,
     uniformizer,
 )
-from helpers import random_element
+from helpers import random_element, random_poly_t, random_unit
 
 
 def test_valuation_examples():
@@ -76,12 +76,19 @@ def test_field_axioms_sampled():
 
 
 def test_cross_multiplication_equality_sampled():
-    # a/b == c/d iff a*d == c*b, independently of the canonical form
+    # a/b == c/d iff a*d == c*b, independently of the canonical form; half
+    # the samples share a common factor k that the reduction must cancel
     rng = random.Random(404)
     for _ in range(200):
         a, b = random_element(rng), random_element(rng)
         c, d = random_element(rng), random_element(rng)
+        if rng.random() < 0.5:
+            k = random_unit(rng) * random_element(rng)
+            c, d = a * k, b * k
         assert ((a / b) == (c / d)) == (a * d == c * b)
+        k = BaseElement(random_poly_t(rng, nonzero_const=True))
+        num, den = random_poly_t(rng), random_poly_t(rng, nonzero_const=True)
+        assert BaseElement(num) * k / (BaseElement(den) * k) == BaseElement(num, den)
 
 
 def test_negative_valuations():

@@ -8,18 +8,27 @@ from degenskel import (
     BaseElement,
     BasicModel,
     MonomialWeights,
+    MultivariatePoly,
     TwistedElement,
     ValidationError,
     flow_expansion,
     flow_value,
     flow_value_monomial,
+    flow_valuations,
+    field,
     monomial_valuation,
     parse_polynomial,
     retract_point,
     twisted_expansion,
     uniformizer,
 )
-from helpers import random_element, random_poly, random_rigid_point, random_unit
+from helpers import (
+    random_element,
+    random_poly,
+    random_rigid_point,
+    random_unit,
+    reference_flow_expansion,
+)
 
 S_GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5))
 
@@ -71,10 +80,85 @@ def test_flow_at_infinity_is_direct_substitution():
 
 
 def test_flow_of_zero_polynomial():
-    from degenskel import MultivariatePoly
-
     bm, x = basic_point()
     assert flow_value(bm, x, 0, MultivariatePoly(2)) == INFINITY
+
+
+def reference_values(bm, x, f):
+    """Flow values on S_GRID and at inf from the canonical-arithmetic expansion."""
+    expansion = reference_flow_expansion(bm, x, f)
+    valuations = {i: c.valuation() for i, c in expansion.items()}
+    values = [
+        min((v if i == 0 else v + i * s for i, v in valuations.items()), default=INFINITY)
+        for s in (*S_GRID, INFINITY)
+    ]
+    return expansion, valuations, values
+
+
+def assert_matches_reference(bm, x, f):
+    expansion, valuations, values = reference_values(bm, x, f)
+    assert flow_expansion(bm, x, f) == expansion
+    assert flow_valuations(bm, x, f) == valuations
+    assert [flow_value(bm, x, s, f) for s in (*S_GRID, INFINITY)] == values
+
+
+def test_flow_expansion_matches_reference_sampled():
+    rng = random.Random(24)
+    for n1, n2 in ((1, 1), (2, 1), (3, 1), (1, 2)):
+        bm = BasicModel(n1, n2)
+        for _ in range(15):
+            x = random_rigid_point(rng, bm)
+            assert_matches_reference(bm, x, random_poly(rng, 2, max_terms=5))
+
+
+def test_flow_expansion_matches_reference_edge_cases():
+    t = uniformizer()
+    rng = random.Random(25)
+    # coefficients with t in the denominator, of negative valuation
+    bm = BasicModel(2, 1)
+    f = MultivariatePoly(2, {
+        (2, 0): BaseElement(1) / t**3,
+        (0, 1): (1 + t) / (t * (2 - t)),
+        (1, 1): Fraction(-3, 7) / (1 + 2 * t),
+    })
+    for _ in range(5):
+        assert_matches_reference(bm, random_rigid_point(rng, bm), f)
+    # the zero expansion: T1*T2 - t vanishes on the model with N = (1, 1)
+    bm, x = basic_point()
+    f = parse_polynomial("T1*T2 - t", arity=2)
+    assert flow_expansion(bm, x, f) == {}
+    assert_matches_reference(bm, x, f)
+    # the relation T1*T2^2 = t cancels the two leading terms on (1, 2)
+    bm = BasicModel(1, 2)
+    f = parse_polynomial("-3*T1^2*T2^3 + 3*t*T1*T2 + T2^4", arity=2)
+    for _ in range(5):
+        x = random_rigid_point(rng, bm)
+        assert_matches_reference(bm, x, f)
+        assert flow_valuations(bm, x, f) == flow_valuations(
+            bm, x, parse_polynomial("T2^4", arity=2)
+        )
+
+
+def test_flow_value_needs_no_gcd(monkeypatch):
+    rng = random.Random(26)
+    cases = []
+    for n1, n2 in ((1, 1), (2, 1), (3, 1), (1, 2)):
+        bm = BasicModel(n1, n2)
+        for _ in range(3):
+            x = random_rigid_point(rng, bm)
+            f = random_poly(rng, 2)
+            cases.append((bm, x, f, reference_values(bm, x, f)[2]))
+
+    def no_gcd(a, b):
+        raise AssertionError("gcd taken on the flow path")
+
+    monkeypatch.setattr(field, "_gcd_dense", no_gcd)
+    for bm, x, f, values in cases:
+        assert [flow_value(bm, x, s, f) for s in (*S_GRID, INFINITY)] == values
+    # the canonical-arithmetic path does reduce on these inputs
+    with pytest.raises(AssertionError, match="gcd taken"):
+        for bm, x, f, _ in cases:
+            reference_flow_expansion(bm, x, f)
 
 
 def test_rigid_point_validation():

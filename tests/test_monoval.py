@@ -57,14 +57,6 @@ def test_arity_mismatch_is_rejected():
         monomial_valuation(w, f)
 
 
-def test_is_divisorial_documents_rationality():
-    assert MonomialWeights((Fraction(1, 3), Fraction(1, 3))).is_divisorial()
-    assert MonomialWeights((Fraction(1), Fraction(0))).is_divisorial()
-    assert MonomialWeights(
-        (Fraction(2, 5), Fraction(1, 5)), (1, 3)
-    ).is_divisorial()
-
-
 def test_restrict_to_support_drops_zero_weights():
     w = MonomialWeights((Fraction(1, 2), Fraction(0)))
     r = w.restrict_to_support()

@@ -186,7 +186,7 @@ def test_weight_at_bounded_below_by_global_weight_sampled():
         vertex_min = min(
             weight_at(model, form, SkeletonPoint(v, {c: 1 for c in
                 model.stratum(v).components})).value
-            for v in build_complex(model).vertices()
+            for v in build_complex(model).strata_of_dimension(0)
         )
         assert vertex_min == minimum
         essential = ks_skeleton(model, form).strata
