@@ -22,12 +22,12 @@ from .dualcomplex import (
     monomial_to_barycentric,
 )
 from .errors import ValidationError
-from .field import format_rational, parse_rational
+from .field import format_rational
 from .flow import BasicModel, flow_valuations, min_term_value, retract_point
 from .parsing import parse_element, parse_flow_time, parse_polynomial
 from .weight import (
     PluricanonicalForm,
-    form_problems,
+    _vertex_weights,
     global_weight,
     is_closed_pseudomanifold,
     is_connected,
@@ -70,12 +70,17 @@ def _emit(payload, output: str | None):
 
 def _point_from_arg(arg: str) -> SkeletonPoint:
     data = json.loads(arg) if arg.lstrip().startswith("{") else _read_json(arg)
-    if not isinstance(data, dict) or "stratum" not in data or "barycentric" not in data:
+    if (
+        not isinstance(data, dict)
+        or not isinstance(data.get("stratum"), str)
+        or not isinstance(data.get("barycentric"), dict)
+    ):
         raise ValidationError(
             "point must be a JSON object with 'stratum' and 'barycentric'"
         )
     try:
-        coords = {k: parse_rational(str(v)) for k, v in data["barycentric"].items()}
+        # Fraction rejects 'inf' and 'nan': a coordinate is a finite rational
+        coords = {k: Fraction(str(v)) for k, v in data["barycentric"].items()}
     except ValueError as exc:
         raise ValidationError(f"invalid barycentric coordinate: {exc}") from None
     return SkeletonPoint(data["stratum"], coords)
@@ -108,7 +113,10 @@ def _cmd_check(args) -> int:
             problems.extend(f"{path}: {p}" for p in exc.problems)
             continue
         if model is not None:
-            problems.extend(f"{path}: {p}" for p in form_problems(model, form))
+            try:
+                _vertex_weights(model, form)  # validated once, memoized for the audit
+            except ValidationError as exc:
+                problems.extend(f"{path}: {p}" for p in exc.problems)
             forms.append((path, form))
     if problems:
         for p in problems:

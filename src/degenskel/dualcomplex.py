@@ -66,6 +66,11 @@ def _normalize_strata(strata) -> list[Stratum]:
     return out
 
 
+def _is_id_list(value) -> bool:
+    """Whether a JSON value is an array of string ids."""
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _synthesize(components: list[Component], strata: list[Stratum]) -> list[Stratum]:
     """Fill in vertex strata and unambiguous face entries.
 
@@ -110,7 +115,8 @@ def _model_problems(components: list[Component], strata: list[Stratum]) -> list[
         if c.id in comp_ids:
             problems.append(f"component {c.id}: duplicate component id")
         comp_ids.add(c.id)
-        if not isinstance(c.multiplicity, int) or c.multiplicity < 1:
+        mult = c.multiplicity
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             problems.append(
                 f"component {c.id}: multiplicity must be a positive integer"
             )
@@ -267,12 +273,17 @@ class ModelDescription:
         problems = []
         if not isinstance(data, dict):
             raise ValidationError("model must be a JSON object")
+        for key in ("components", "strata"):
+            if not isinstance(data.get(key, []), list):
+                raise ValidationError(f"model '{key}' must be a JSON array")
         comps = []
         for entry in data.get("components", []):
             if not isinstance(entry, dict) or "id" not in entry:
                 problems.append(f"malformed component entry {entry!r}")
-                continue
-            comps.append((entry["id"], entry.get("multiplicity", 1)))
+            elif not isinstance(entry["id"], str):
+                problems.append(f"component id {entry['id']!r} is not a string")
+            else:
+                comps.append((entry["id"], entry.get("multiplicity", 1)))
         strata = []
         for entry in data.get("strata", []):
             if (
@@ -282,8 +293,16 @@ class ModelDescription:
                 or not isinstance(entry.get("faces") or {}, dict)
             ):
                 problems.append(f"malformed stratum entry {entry!r}")
-                continue
-            strata.append((entry["id"], entry["components"], entry.get("faces")))
+            elif not isinstance(entry["id"], str):
+                problems.append(f"stratum id {entry['id']!r} is not a string")
+            elif not _is_id_list(entry["components"]):
+                problems.append(
+                    f"stratum {entry['id']}: 'components' must be a JSON array of ids"
+                )
+            elif not _is_id_list(list((entry.get("faces") or {}).values())):
+                problems.append(f"stratum {entry['id']}: face targets must be ids")
+            else:
+                strata.append((entry["id"], entry["components"], entry.get("faces")))
         if problems:
             raise ValidationError(problems)
         return cls(comps, strata)

@@ -42,21 +42,8 @@ from typing import Mapping
 
 from .dualcomplex import ModelDescription, MonomialPointData
 from .errors import ValidationError
-from .field import INFINITY, BaseElement, _add, _mul, _scale, uniformizer
+from .field import INFINITY, BaseElement, _add, _mul, _scale, _shift, uniformizer
 from .monoval import MultivariatePoly
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """Coefficients (x, y) with a*x + b*y = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
 
 
 @dataclass(frozen=True)
@@ -83,13 +70,6 @@ class BasicModel:
     def m2(self) -> int:
         return self.n2 // self.c
 
-    @property
-    def bezout(self) -> tuple[int, int]:
-        """(a1, a2) with a1*M1 + a2*M2 = 1."""
-        a1, a2 = _bezout(self.m1, self.m2)
-        assert a1 * self.m1 + a2 * self.m2 == 1
-        return a1, a2
-
     def model_description(self) -> ModelDescription:
         """The two-component model: vertices E1, E2 and the edge stratum O."""
         return ModelDescription(
@@ -108,7 +88,10 @@ class BasicModel:
             problems.append("rigid point: x1 has negative valuation")
         if x2.valuation() < 0:
             problems.append("rigid point: x2 has negative valuation")
-        if x1**self.n1 * x2**self.n2 != uniformizer():
+        # cross-multiplied over the integer pairs, so no gcd is taken
+        (n1, d1), (n2, d2) = x1._int_pair(), x2._int_pair()
+        lhs = _mul(_power(n1, self.n1), _power(n2, self.n2))
+        if lhs != _shift(_mul(_power(d1, self.n1), _power(d2, self.n2)), 1):
             problems.append(
                 f"rigid point: x1^{self.n1} * x2^{self.n2} must equal t"
             )
@@ -198,6 +181,10 @@ def min_term_value(valuations: Mapping[int, object], s):
 
 
 # -- rigid points -------------------------------------------------------------
+
+
+def _power(p: dict, n: int) -> dict:
+    return reduce(_mul, [p] * n, {0: 1})
 
 
 def _powers(num: dict, den: dict, top: int) -> list[dict]:
@@ -341,19 +328,11 @@ class TwistedElement:
         return TwistedElement(self.model, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, BaseElement)):
-            return TwistedElement(
-                self.model, {pq: c * other for pq, c in self.terms.items()}
-            )
-        if not isinstance(other, TwistedElement):
+        if not isinstance(other, (int, Fraction, BaseElement)):
             return NotImplemented
-        out = TwistedElement(self.model, {})
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                out = out + TwistedElement.monomial(
-                    self.model, p1 + p2, q1 + q2, c1 * c2
-                )
-        return out
+        return TwistedElement(
+            self.model, {pq: c * other for pq, c in self.terms.items()}
+        )
 
     __rmul__ = __mul__
 

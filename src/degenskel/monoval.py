@@ -170,23 +170,6 @@ class MultivariatePoly:
         pad = (0,) * (arity - self.arity)
         return MultivariatePoly(arity, {e + pad: c for e, c in self.terms.items()})
 
-    def restrict(self, keep: Sequence[int]) -> MultivariatePoly:
-        """Project onto the variables at the given (0-based) positions.
-
-        The polynomial must not involve any dropped variable.
-        """
-        keep = tuple(keep)
-        dropped = [i for i in range(self.arity) if i not in keep]
-        terms = {}
-        for exps, c in self.terms.items():
-            bad = [i for i in dropped if exps[i] != 0]
-            if bad:
-                raise ValidationError(
-                    f"polynomial involves dropped variable T{bad[0] + 1}"
-                )
-            terms[tuple(exps[i] for i in keep)] = c
-        return MultivariatePoly(len(keep), terms)
-
     def __eq__(self, other):
         if not isinstance(other, MultivariatePoly):
             return NotImplemented
@@ -247,25 +230,6 @@ class MonomialWeights:
     @property
     def arity(self) -> int:
         return len(self.alpha)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """0-based positions of the strictly positive weights."""
-        return tuple(i for i, a in enumerate(self.alpha) if a > 0)
-
-    def restrict_to_support(self) -> MonomialWeights:
-        """Drop the zero weights, lowering the arity.
-
-        Evaluating any polynomial that does not involve the dropped
-        variables is unchanged: the removed coordinates contribute
-        alpha_i * beta_i = 0 to every term.
-        """
-        keep = self.support
-        mult = self.multiplicities
-        return MonomialWeights(
-            tuple(self.alpha[i] for i in keep),
-            None if mult is None else tuple(mult[i] for i in keep),
-        )
 
 
 def monomial_valuation(weights: MonomialWeights, f: MultivariatePoly):

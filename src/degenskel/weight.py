@@ -31,6 +31,7 @@ from .dualcomplex import (
     ModelDescription,
     SkeletonPoint,
     _check_keys,
+    _is_id_list,
     _resolve_zeros,
     build_complex,
     connected_components,
@@ -47,7 +48,7 @@ class PluricanonicalForm:
     horizontal: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise ValidationError("pluricanonical level m must be a positive integer")
         vertical = {str(k): v for k, v in dict(self.vertical).items()}
         for cid, nu in vertical.items():
@@ -64,7 +65,12 @@ class PluricanonicalForm:
             raise ValidationError(
                 "form must be a JSON object with 'm' and 'vertical' entries"
             )
-        return cls(data["m"], data["vertical"], frozenset(data.get("horizontal", [])))
+        if not isinstance(data["vertical"], dict):
+            raise ValidationError("form 'vertical' must be a JSON object")
+        horizontal = data.get("horizontal", [])
+        if not _is_id_list(horizontal):
+            raise ValidationError("form 'horizontal' must be a JSON array of ids")
+        return cls(data["m"], data["vertical"], frozenset(horizontal))
 
     def to_dict(self) -> dict:
         return {
@@ -80,8 +86,9 @@ def form_problems(model: ModelDescription, form: PluricanonicalForm) -> list[str
     for c in model.components:
         if c.id not in form.vertical:
             problems.append(f"component {c.id}: no vertical multiplicity")
+    component_ids = {c.id for c in model.components}
     for cid in sorted(form.vertical):
-        if cid not in {c.id for c in model.components}:
+        if cid not in component_ids:
             problems.append(f"vertical multiplicity for unknown component {cid}")
 
     known = {s.id for s in model.strata}
@@ -108,12 +115,6 @@ def form_problems(model: ModelDescription, form: PluricanonicalForm) -> list[str
     return problems
 
 
-def _require_valid(model: ModelDescription, form: PluricanonicalForm):
-    problems = form_problems(model, form)
-    if problems:
-        raise ValidationError(problems)
-
-
 def divisorial_weight(multiplicity: int, vertical_multiplicity: int, m: int) -> Fraction:
     """Weight (nu + m)/N of the divisorial point of a component."""
     if not isinstance(multiplicity, int) or multiplicity < 1:
@@ -123,13 +124,34 @@ def divisorial_weight(multiplicity: int, vertical_multiplicity: int, m: int) -> 
     return Fraction(vertical_multiplicity + m, multiplicity)
 
 
+def _vertex_weights(
+    model: ModelDescription, form: PluricanonicalForm
+) -> dict[str, Fraction]:
+    """Divisorial weight (nu_j + m)/N_j of every component, validated once.
+
+    The weight function is affine on faces, so this table answers every
+    weight query.  Forms and models are immutable once validated, so the
+    pair is checked with form_problems on first use and the table is
+    memoized on the form with its model, reused only for that same model
+    object.  An invalid pair is never memoized and raises on every call.
+    """
+    cached = getattr(form, "_weights", None)
+    if cached is not None and cached[0] is model:
+        return cached[1]
+    problems = form_problems(model, form)
+    if problems:
+        raise ValidationError(problems)
+    table = {
+        c.id: divisorial_weight(c.multiplicity, form.vertical[c.id], form.m)
+        for c in model.components
+    }
+    object.__setattr__(form, "_weights", (model, table))
+    return table
+
+
 def global_weight(model: ModelDescription, form: PluricanonicalForm) -> Fraction:
     """Minimal divisorial weight over all components of the model."""
-    _require_valid(model, form)
-    return min(
-        divisorial_weight(c.multiplicity, form.vertical[c.id], form.m)
-        for c in model.components
-    )
+    return min(_vertex_weights(model, form).values())
 
 
 @dataclass(frozen=True)
@@ -155,13 +177,10 @@ def weight_at(
     affine interpolation sum(beta_j * (nu_j + m)/N_j) is evaluated on the
     resulting face.
     """
-    _require_valid(model, form)
+    weights = _vertex_weights(model, form)
     _check_keys(model, point.stratum, point.barycentric)
     s, beta = _resolve_zeros(model, point.stratum, point.barycentric)
-    value = sum(
-        beta[j] * divisorial_weight(model.multiplicity(j), form.vertical[j], form.m)
-        for j in s.components
-    )
+    value = sum(beta[j] * weights[j] for j in s.components)
     return WeightValue(Fraction(value), s.id in form.horizontal, s.id)
 
 
@@ -203,30 +222,28 @@ class Subcomplex:
         return f"Subcomplex({sorted(self.strata)})"
 
 
+def _essential_strata(model: ModelDescription, form: PluricanonicalForm) -> set[str]:
+    """Unflagged strata all of whose components attain the global weight."""
+    weights = _vertex_weights(model, form)
+    minimal = min(weights.values())
+    tied = {j for j, w in weights.items() if w == minimal}
+    return {
+        s.id
+        for s in model.strata
+        if s.components <= tied and s.id not in form.horizontal
+    }
+
+
 def ks_skeleton(model: ModelDescription, form: PluricanonicalForm) -> Subcomplex:
     """Union of the essential faces of the form: the Kontsevich-Soibelman skeleton.
 
     A stratum qualifies when (nu_j + m)/N_j attains the global weight for
     every component j through it and the stratum is not horizontal-flagged.
-    The result is face-closed by construction of the criterion; this is
-    asserted, not re-derived.
+    Every face of a qualifying stratum qualifies too (its components are a
+    subset, and flags are closed downward), so the set is face-closed; the
+    Subcomplex constructor checks that.
     """
-    _require_valid(model, form)
-    minimal = global_weight(model, form)
-    chosen = set()
-    for s in model.strata:
-        if s.id in form.horizontal:
-            continue
-        if all(
-            divisorial_weight(model.multiplicity(j), form.vertical[j], form.m)
-            == minimal
-            for j in s.components
-        ):
-            chosen.add(s.id)
-    cx = build_complex(model)
-    for sid in chosen:
-        assert cx.face_closure(sid) <= chosen, "essential faces must be face-closed"
-    return Subcomplex(cx, chosen)
+    return Subcomplex(build_complex(model), _essential_strata(model, form))
 
 
 def essential_skeleton(
@@ -243,12 +260,9 @@ def essential_skeleton(
     if not forms:
         raise ValueError("at least one pluricanonical form is required")
     strata: set[str] = set()
-    cx = None
     for form in forms:
-        sub = ks_skeleton(model, form)
-        strata |= sub.strata
-        cx = sub.complex
-    return Subcomplex(cx, strata)
+        strata |= _essential_strata(model, form)
+    return Subcomplex(build_complex(model), strata)
 
 
 def is_connected(sub: Subcomplex) -> bool:
@@ -273,39 +287,20 @@ def is_closed_pseudomanifold(sub: Subcomplex) -> bool:
     cx = sub.complex
     d = sub.dimension
 
-    maximal = [
-        sid
-        for sid in sub.strata
-        if not any(
-            sid in cx.face_closure(other) and other != sid for other in sub.strata
-        )
-    ]
-    if any(cx.dimension(sid) != d for sid in maximal):
+    # sub is face-closed, so its maximal faces are no member's direct face
+    faces = {f for sid in sub.strata for f in cx.direct_faces(sid)}
+    if any(cx.dimension(sid) != d for sid in sub.strata - faces):
         return False
 
     top = [sid for sid in sub.strata if cx.dimension(sid) == d]
     if d == 0:
         return len(top) == 1
 
-    ridge_count: dict[str, list[str]] = {}
+    cofaces: dict[str, int] = {}
     for sid in top:
         for facet in cx.direct_faces(sid):
-            ridge_count.setdefault(facet, []).append(sid)
+            cofaces[facet] = cofaces.get(facet, 0) + 1
     ridges = [sid for sid in sub.strata if cx.dimension(sid) == d - 1]
-    if any(len(ridge_count.get(r, [])) != 2 for r in ridges):
+    if any(cofaces.get(r, 0) != 2 for r in ridges):
         return False
-
-    parent = {sid: sid for sid in top}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pair in ridge_count.values():
-        a, b = pair
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(sid) for sid in top}) == 1
+    return len(connected_components(cx, top + ridges)) == 1

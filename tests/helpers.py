@@ -15,10 +15,16 @@ from degenskel import (
     MultivariatePoly,
     PluricanonicalForm,
     SkeletonPoint,
+    Subcomplex,
+    ValidationError,
+    WeightValue,
     build_complex,
+    divisorial_weight,
+    form_problems,
     uniformizer,
     weight_at,
 )
+from degenskel.dualcomplex import _check_keys, _resolve_zeros
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -228,3 +234,112 @@ def brute_force_ks(model: ModelDescription, form: PluricanonicalForm, max_den=12
         for sid, values in per_face.items()
         if all(not v.lower_bound_only and v.value == overall for v in values)
     }
+
+
+# -- reference weight queries ----------------------------------------------------
+#
+# The per-call implementations that the vertex-weight table replaced: each
+# query validates the pair again and recomputes every divisorial weight it
+# needs, and the pseudo-manifold test scans all pairs of strata for maximal
+# faces.  Kept as slow, independent references for the seeded comparisons.
+
+
+def _reference_require_valid(model, form):
+    problems = form_problems(model, form)
+    if problems:
+        raise ValidationError(problems)
+
+
+def reference_global_weight(model, form):
+    _reference_require_valid(model, form)
+    return min(
+        divisorial_weight(c.multiplicity, form.vertical[c.id], form.m)
+        for c in model.components
+    )
+
+
+def reference_weight_at(model, form, point) -> WeightValue:
+    _reference_require_valid(model, form)
+    _check_keys(model, point.stratum, point.barycentric)
+    s, beta = _resolve_zeros(model, point.stratum, point.barycentric)
+    value = sum(
+        beta[j] * divisorial_weight(model.multiplicity(j), form.vertical[j], form.m)
+        for j in s.components
+    )
+    return WeightValue(Fraction(value), s.id in form.horizontal, s.id)
+
+
+def reference_ks_skeleton(model, form) -> Subcomplex:
+    _reference_require_valid(model, form)
+    minimal = reference_global_weight(model, form)
+    chosen = set()
+    for s in model.strata:
+        if s.id in form.horizontal:
+            continue
+        if all(
+            divisorial_weight(model.multiplicity(j), form.vertical[j], form.m)
+            == minimal
+            for j in s.components
+        ):
+            chosen.add(s.id)
+    cx = build_complex(model)
+    for sid in chosen:
+        assert cx.face_closure(sid) <= chosen, "essential faces must be face-closed"
+    return Subcomplex(cx, chosen)
+
+
+def reference_is_closed_pseudomanifold(sub: Subcomplex) -> bool:
+    if sub.is_empty():
+        raise ValidationError("pseudo-manifold test requires a nonempty subcomplex")
+    cx = sub.complex
+    d = sub.dimension
+    maximal = [
+        sid
+        for sid in sub.strata
+        if not any(
+            sid in cx.face_closure(other) and other != sid for other in sub.strata
+        )
+    ]
+    if any(cx.dimension(sid) != d for sid in maximal):
+        return False
+    top = [sid for sid in sub.strata if cx.dimension(sid) == d]
+    if d == 0:
+        return len(top) == 1
+    ridge_count: dict[str, list[str]] = {}
+    for sid in top:
+        for facet in cx.direct_faces(sid):
+            ridge_count.setdefault(facet, []).append(sid)
+    ridges = [sid for sid in sub.strata if cx.dimension(sid) == d - 1]
+    if any(len(ridge_count.get(r, [])) != 2 for r in ridges):
+        return False
+    parent = {sid: sid for sid in top}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in ridge_count.values():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(sid) for sid in top}) == 1
+
+
+def random_subcomplex(rng, model: ModelDescription) -> Subcomplex:
+    """Face closure of a random nonempty set of strata."""
+    cx = build_complex(model)
+    picks = rng.sample(list(model.strata), rng.randint(1, len(model.strata)))
+    return Subcomplex(cx, set().union(*(cx.face_closure(s.id) for s in picks)))
+
+
+def random_point(rng, model: ModelDescription) -> SkeletonPoint:
+    """A point on a random face, with some coordinates zero."""
+    s = rng.choice(model.strata)
+    comps = sorted(s.components)
+    parts = [rng.choice((0, 0, 1, 2, 5)) for _ in comps]
+    if not any(parts):
+        parts[rng.randrange(len(parts))] = 1
+    total = sum(parts)
+    return SkeletonPoint(s.id, {c: Fraction(p, total) for c, p in zip(comps, parts)})

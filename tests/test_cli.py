@@ -77,6 +77,28 @@ def test_check_invalid_model_exits_1(capsys):
     assert "incompatible face maps" in err
 
 
+def test_check_validates_each_pair_once(capsys, monkeypatch):
+    from degenskel import weight
+
+    calls = []
+    original = weight.form_problems
+    monkeypatch.setattr(
+        weight, "form_problems", lambda m, f: calls.append(f) or original(m, f)
+    )
+    code, out, _ = run(
+        capsys,
+        "check",
+        fx("kulikov_k3.json"),
+        fx("kulikov_form.json"),
+        fx("kulikov_form.json"),
+        "--samples",
+        "50",
+    )
+    assert code == 0
+    assert out.count("50 sampled points respect the weight bounds") == 2
+    assert len(calls) == 2
+
+
 def test_check_invalid_form_exits_1(capsys):
     code, _, err = run(capsys, "check", fx("chain_123.json"), fx("invalid_form.json"))
     assert code == 1
@@ -144,14 +166,17 @@ def test_flow_rejects_invalid_point(capsys):
 
 
 def test_flow_command_needs_no_gcd(capsys, monkeypatch):
-    # the point (t, 1) and f parse and validate without a gcd, while the
-    # reduced coefficient c0 = (1 + 2t)/(1 + t) of the canonical-arithmetic
-    # path would need one; the CLI prints valuations only, so none is taken
+    # the point (t/(1+t), 1+t) and f parse and validate without a gcd (the
+    # relation x1 * x2 = t is checked by cross-multiplying), while the reduced
+    # coefficient c0 = (t + (1+t)^3)/(1+t)^2 of the canonical-arithmetic path
+    # would need one; the CLI prints valuations only, so none is taken
     def no_gcd(a, b):
         raise AssertionError("gcd taken on the flow path")
 
     monkeypatch.setattr(field, "_gcd_dense", no_gcd)
-    code, out, _ = run(capsys, "flow", "1", "1", "t", "1", "1/2", "T1/(1+t) + T2")
+    code, out, _ = run(
+        capsys, "flow", "1", "1", "t/(1+t)", "1+t", "1/2", "T1/(1+t) + T2"
+    )
     assert code == 0
     assert json.loads(out) == {
         "value": "0",
@@ -220,6 +245,97 @@ def test_non_numeric_coordinate_exits_1(capsys):
     )
     assert code == 1
     assert err.startswith("error: invalid barycentric coordinate")
+
+
+PAIR = {"components": [{"id": "A"}, {"id": "B"}]}
+PAIR_FORM = {"m": 1, "vertical": {"A": 0, "B": 0}}
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (
+            {"components": [{"id": "A", "multiplicity": True}]},
+            "component A: multiplicity must be a positive integer",
+        ),
+        ({"components": [{"id": ["A"]}]}, "component id ['A'] is not a string"),
+        (
+            dict(PAIR, strata=[{"id": ["S"], "components": ["A", "B"]}]),
+            "stratum id ['S'] is not a string",
+        ),
+        (
+            dict(PAIR, strata=[{"id": "S", "components": "AB"}]),
+            "stratum S: 'components' must be a JSON array of ids",
+        ),
+        (
+            dict(PAIR, strata=[{"id": "S", "components": [["A"], "B"]}]),
+            "stratum S: 'components' must be a JSON array of ids",
+        ),
+        (
+            dict(PAIR, strata=[
+                {"id": "S", "components": ["A", "B"], "faces": {"A": ["B"]}}
+            ]),
+            "stratum S: face targets must be ids",
+        ),
+        ({"components": "AA"}, "model 'components' must be a JSON array"),
+        (dict(PAIR, strata="AB"), "model 'strata' must be a JSON array"),
+    ],
+)
+def test_mistyped_model_exits_1(tmp_path, capsys, model, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        (dict(PAIR_FORM, m=True), "pluricanonical level m must be a positive integer"),
+        (dict(PAIR_FORM, horizontal="AB"), "form 'horizontal' must be a JSON array of ids"),
+        (dict(PAIR_FORM, horizontal=[["S"]]), "form 'horizontal' must be a JSON array of ids"),
+        (dict(PAIR_FORM, vertical="AB"), "form 'vertical' must be a JSON object"),
+    ],
+)
+def test_mistyped_form_exits_1(tmp_path, capsys, form, message):
+    model_path, form_path = tmp_path / "model.json", tmp_path / "form.json"
+    model_path.write_text(json.dumps(PAIR))
+    form_path.write_text(json.dumps(form))
+    code, out, err = run(capsys, "check", str(model_path), str(form_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {form_path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        (
+            {"stratum": "C12", "barycentric": {"E1": "inf", "E2": "0"}},
+            "invalid barycentric coordinate: Invalid literal for Fraction: 'inf'",
+        ),
+        (
+            {"stratum": ["C12"], "barycentric": {"E1": "1"}},
+            "point must be a JSON object with 'stratum' and 'barycentric'",
+        ),
+        (
+            {"stratum": "C12", "barycentric": ["E1"]},
+            "point must be a JSON object with 'stratum' and 'barycentric'",
+        ),
+    ],
+)
+def test_mistyped_point_exits_1(capsys, point, message):
+    code, _, err = run(
+        capsys,
+        "weight",
+        fx("coordinate_planes.json"),
+        fx("planes_form.json"),
+        json.dumps(point),
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
 
 
 def test_missing_file_exits_1(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -39,11 +40,10 @@ def basic_point():
     return bm, bm.rigid_point(t / (1 + t), BaseElement(1) + t)
 
 
-def test_bezout_identity():
+def test_reduced_multiplicities():
     for n1, n2 in ((1, 1), (2, 1), (2, 3), (6, 4), (12, 8)):
         bm = BasicModel(n1, n2)
-        a1, a2 = bm.bezout
-        assert a1 * bm.m1 + a2 * bm.m2 == 1
+        assert math.gcd(bm.m1, bm.m2) == 1
         assert bm.m1 * bm.c == n1 and bm.m2 * bm.c == n2
 
 
@@ -173,6 +173,30 @@ def test_rigid_point_validation():
     u = one + t
     x = bm.rigid_point(u, t * u**-2)
     assert (x.x1.valuation(), x.x2.valuation()) == (0, 1)
+
+
+def test_rigid_point_relation_matches_field_arithmetic_sampled():
+    # the gcd-free cross-multiplied check of x1^N1 * x2^N2 = t accepts
+    # exactly the pairs that canonical field arithmetic accepts
+    rng = random.Random(31)
+    t = uniformizer()
+    for n1, n2 in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3)):
+        bm = BasicModel(n1, n2)
+        for _ in range(15):
+            x = random_rigid_point(rng, bm)
+            for x1, x2 in (
+                (x.x1, x.x2),
+                (x.x1 * random_unit(rng), x.x2),
+                (x.x1, x.x2 + t**3),
+                (random_unit(rng), random_unit(rng)),
+            ):
+                holds = x1**n1 * x2**n2 == t
+                try:
+                    bm.rigid_point(x1, x2)
+                    accepted = True
+                except ValidationError as exc:
+                    accepted = "must equal t" not in str(exc)
+                assert accepted == holds
 
 
 def test_retract_point_examples():
@@ -357,6 +381,3 @@ def test_twisted_scalar_arithmetic():
     a = TwistedElement.monomial(bm, 1, 2, d)
     assert a * 3 == TwistedElement.monomial(bm, 1, 2, d * 3)
     assert a * u == TwistedElement.monomial(bm, 1, 2, d * u)
-    b = TwistedElement.monomial(bm, 1, -1, 1)
-    prod = a * b
-    assert prod == TwistedElement.monomial(bm, 2, 1, d)

@@ -57,38 +57,11 @@ def test_arity_mismatch_is_rejected():
         monomial_valuation(w, f)
 
 
-def test_restrict_to_support_drops_zero_weights():
-    w = MonomialWeights((Fraction(1, 2), Fraction(0)))
-    r = w.restrict_to_support()
-    assert r.alpha == (Fraction(1, 2),)
-    assert r.arity == 1
-
-
-def test_restrict_to_support_preserves_eval():
-    # (1/3, 1/3, 0) on f = T1*T2: both routes give 2/3
-    w = MonomialWeights((Fraction(1, 3), Fraction(1, 3), Fraction(0)))
-    f = parse_polynomial("T1*T2", arity=3)
-    full = monomial_valuation(w, f)
-    restricted = monomial_valuation(w.restrict_to_support(), f.restrict(w.support))
-    assert full == restricted == Fraction(2, 3)
-
-
 def test_all_zero_weights():
     w = MonomialWeights((Fraction(0), Fraction(0)))
     f = random_poly(random.Random(21), 2)
     expected = min(c.valuation() for c in f.terms.values())
     assert monomial_valuation(w, f) == expected
-    r = w.restrict_to_support()
-    assert r.arity == 0
-    d = random_element(random.Random(22))
-    assert monomial_valuation(r, MultivariatePoly.constant(0, d)) == d.valuation()
-
-
-def test_restrict_rejects_polynomials_in_dropped_variables():
-    w = MonomialWeights((Fraction(1, 2), Fraction(0)))
-    f = parse_polynomial("T1*T2", arity=2)
-    with pytest.raises(ValidationError):
-        f.restrict(w.support)
 
 
 def test_normalization_invariant_enforced():

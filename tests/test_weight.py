@@ -22,12 +22,19 @@ from degenskel import (
     monomial_valuation,
     weight_at,
 )
+from degenskel import weight as weight_module
 from helpers import (
     load_form,
     load_model,
     random_form,
     random_interior_point,
     random_model,
+    random_point,
+    random_subcomplex,
+    reference_global_weight,
+    reference_is_closed_pseudomanifold,
+    reference_ks_skeleton,
+    reference_weight_at,
 )
 
 
@@ -283,3 +290,124 @@ def test_tensor_power_invariance_sampled():
                 form.horizontal,
             )
             assert ks_skeleton(model, powered).strata == base
+
+
+# -- the vertex-weight table against the per-call references -----------------
+
+
+def two_cycles():
+    """Two disjoint triangles: a pure, disconnected 1-dimensional complex."""
+    comps = [(f"{side}{i}", 1) for side in "AB" for i in (1, 2, 3)]
+    strata = [
+        (f"{side}{i}{j}", (f"{side}{i}", f"{side}{j}"), None)
+        for side in "AB"
+        for i, j in ((1, 2), (1, 3), (2, 3))
+    ]
+    return ModelDescription(comps, strata)
+
+
+def test_weight_queries_match_reference_sampled():
+    rng = random.Random(41)
+    for _ in range(60):
+        model = random_model(rng)
+        form = random_form(rng, model)
+        assert global_weight(model, form) == reference_global_weight(model, form)
+        sub = ks_skeleton(model, form)
+        assert sub == reference_ks_skeleton(model, form)
+        assert is_closed_pseudomanifold(sub) == reference_is_closed_pseudomanifold(sub)
+        for _ in range(20):
+            point = random_point(rng, model)
+            assert weight_at(model, form, point) == reference_weight_at(
+                model, form, point
+            )
+
+
+def test_pseudomanifold_matches_reference_on_subcomplexes():
+    named = []
+    chain = build_complex(load_model("chain_123.json"))
+    named += [
+        Subcomplex(chain, {"E3"}),  # 0-dimensional, one vertex
+        Subcomplex(chain, {"E1", "E3"}),  # 0-dimensional, disconnected
+        Subcomplex(chain, {"E1", "E2", "E3", "C12"}),  # not pure
+        Subcomplex(chain, {s.id for s in chain.model.strata}),  # pure, with ends
+    ]
+    for name in ("kulikov_k3.json", "star_curve.json", "coordinate_planes.json"):
+        cx = build_complex(load_model(name))
+        named.append(Subcomplex(cx, {s.id for s in cx.model.strata}))
+    cycles = build_complex(two_cycles())
+    named.append(Subcomplex(cycles, {s.id for s in cycles.model.strata}))
+    sphere = load_model("kulikov_k3.json")
+    with_point = build_complex(
+        ModelDescription([*sphere.components, ("E5", 1)], sphere.strata)
+    )
+    # a closed 2-sphere plus an isolated vertex: not pure, two dimensions down
+    named.append(Subcomplex(with_point, {s.id for s in with_point.model.strata}))
+    expected = [True, False, False, False, True, False, False, False, False]
+    assert [is_closed_pseudomanifold(sub) for sub in named] == expected
+    assert [reference_is_closed_pseudomanifold(sub) for sub in named] == expected
+
+    rng = random.Random(42)
+    for _ in range(200):
+        sub = random_subcomplex(rng, random_model(rng))
+        assert is_closed_pseudomanifold(sub) == reference_is_closed_pseudomanifold(sub)
+
+
+def counting_form_problems(monkeypatch):
+    calls = []
+    original = weight_module.form_problems
+
+    def counted(model, form):
+        calls.append(form)
+        return original(model, form)
+
+    monkeypatch.setattr(weight_module, "form_problems", counted)
+    return calls
+
+
+def test_pair_is_validated_once(monkeypatch):
+    calls = counting_form_problems(monkeypatch)
+    model = load_model("kulikov_k3.json")
+    form = load_form("kulikov_form.json")
+    rng = random.Random(43)
+    global_weight(model, form)
+    ks_skeleton(model, form)
+    essential_skeleton(model, [form])
+    for _ in range(20):
+        weight_at(model, form, random_point(rng, model))
+    assert len(calls) == 1
+
+
+def test_memo_is_per_model_object(monkeypatch):
+    calls = counting_form_problems(monkeypatch)
+    chain = load_model("chain_123.json")
+    edge = edge_model()
+    form = load_form("chain_form_vertex.json")
+    assert global_weight(chain, form) == Fraction(1, 3)
+    with pytest.raises(ValidationError, match="unknown component E3"):
+        global_weight(edge, form)
+    with pytest.raises(ValidationError, match="unknown component E3"):
+        ks_skeleton(edge, form)
+    assert global_weight(chain, form) == Fraction(1, 3)
+    assert len(calls) == 3  # the failed pairs left the memo for chain in place
+    # an equal but distinct model object is validated again, and the memo
+    # then holds that object, so chain is validated once more
+    assert global_weight(load_model("chain_123.json"), form) == Fraction(1, 3)
+    assert global_weight(chain, form) == Fraction(1, 3)
+    assert len(calls) == 5
+
+
+def test_invalid_pair_raises_on_every_call(monkeypatch):
+    calls = counting_form_problems(monkeypatch)
+    model = load_model("chain_123.json")
+    form = load_form("invalid_form.json")
+    point = SkeletonPoint("E1", {"E1": 1})
+    for query in (
+        lambda: global_weight(model, form),
+        lambda: ks_skeleton(model, form),
+        lambda: essential_skeleton(model, [form]),
+        lambda: weight_at(model, form, point),
+        lambda: global_weight(model, form),
+    ):
+        with pytest.raises(ValidationError, match="vertex strata"):
+            query()
+    assert len(calls) == 5
