@@ -7,7 +7,7 @@ of pluricanonical forms with their Kontsevich-Soibelman and essential
 skeleta, and the explicit retraction flow on the basic two-component model.
 """
 from .errors import ValidationError
-from .field import BaseElement, INFINITY, format_rational, parse_rational, uniformizer
+from .field import BaseElement, INFINITY, format_rational, uniformizer
 from .monoval import MonomialWeights, MultivariatePoly, monomial_valuation
 from .parsing import parse_element, parse_flow_time, parse_polynomial
 from .dualcomplex import (
@@ -87,7 +87,6 @@ __all__ = [
     "parse_element",
     "parse_flow_time",
     "parse_polynomial",
-    "parse_rational",
     "retract_point",
     "twisted_expansion",
     "uniformizer",

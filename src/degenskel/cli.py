@@ -78,6 +78,14 @@ def _point_from_arg(arg: str) -> SkeletonPoint:
         raise ValidationError(
             "point must be a JSON object with 'stratum' and 'barycentric'"
         )
+    floats = [k for k, v in data["barycentric"].items() if isinstance(v, float)]
+    if floats:
+        # the JSON reader has already rounded the literal to a binary float
+        raise ValidationError([
+            f"invalid barycentric coordinate for {k}: a JSON float is not"
+            ' exact; write the rational as a string such as "3/10"'
+            for k in floats
+        ])
     try:
         # Fraction rejects 'inf' and 'nan': a coordinate is a finite rational
         coords = {k: Fraction(str(v)) for k, v in data["barycentric"].items()}

@@ -7,6 +7,12 @@ complete discretely valued field with residue characteristic zero: all the
 formulas in scope use only field arithmetic and the valuation, so Q(t)
 realizes them exactly.
 
+An element is stored as one pair of integer polynomials: a Laurent
+numerator over a denominator with positive constant term, coprime, with
+joint integer content 1.  Rationals enter only in the constructor, which
+clears their denominators once, and leave only in rendering, so all
+arithmetic runs on Python ints.
+
 Absolute values are handled additively throughout the package: instead of
 |x| = exp(-v(x)) we compute with v(x) itself, so comparisons and min/max of
 absolute values become comparisons of rationals.  The only non-rational
@@ -21,27 +27,32 @@ from fractions import Fraction
 
 INFINITY = math.inf
 
-# Sparse Laurent polynomial in t: exponent -> nonzero rational coefficient.
-# The helpers below also serve integer-scaled polynomials with int values.
-Coeffs = dict[int, Fraction]
-
-_ONE = Fraction(1)
+# Sparse Laurent polynomial in t: exponent -> nonzero integer coefficient.
+Coeffs = dict[int, int]
 
 
-def _as_coeffs(value) -> Coeffs:
+def _as_coeffs(value) -> dict[int, int | Fraction]:
     if isinstance(value, dict):
-        out: Coeffs = {}
-        for exp, c in value.items():
-            if isinstance(c, float) or not isinstance(exp, int):
-                raise TypeError("polynomial data must be {int: rational}, no floats")
-            q = Fraction(c)
-            if q:
-                out[exp] = q
-        return out
-    if isinstance(value, float):
+        if not all(
+            isinstance(e, int) and isinstance(c, (int, Fraction))
+            for e, c in value.items()
+        ):
+            raise TypeError("polynomial data must be {int: rational}, no floats")
+        return {e: c for e, c in value.items() if c}
+    if not isinstance(value, (int, Fraction)):
         raise TypeError("floats are not exact; use Fraction or int")
-    q = Fraction(value)
-    return {0: q} if q else {}
+    return {0: value} if value else {}
+
+
+def _integral(num: dict, den: dict) -> tuple[Coeffs, Coeffs]:
+    """Rational num and den multiplied by one positive integer that clears
+    every coefficient denominator, so the quotient is unchanged."""
+    lcm = math.lcm(*(c.denominator for c in num.values()),
+                   *(c.denominator for c in den.values()))
+    return (
+        {e: c.numerator * (lcm // c.denominator) for e, c in num.items()},
+        {e: c.numerator * (lcm // c.denominator) for e, c in den.items()},
+    )
 
 
 def _shift(p: Coeffs, k: int) -> Coeffs:
@@ -74,17 +85,6 @@ def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
 
 def _scale(p: Coeffs, c) -> Coeffs:
     return {e: v * c for e, v in p.items()}
-
-
-def _integral(num: Coeffs, den: Coeffs) -> tuple[dict[int, int], dict[int, int]]:
-    """num and den multiplied by one positive integer that clears every
-    coefficient denominator, so the quotient is unchanged."""
-    lcm = math.lcm(*(c.denominator for c in num.values()),
-                   *(c.denominator for c in den.values()))
-    return (
-        {e: c.numerator * (lcm // c.denominator) for e, c in num.items()},
-        {e: c.numerator * (lcm // c.denominator) for e, c in den.items()},
-    )
 
 
 # -- dense integer helpers for gcd reduction (exponents >= 0, trimmed lists) --
@@ -151,47 +151,51 @@ def _div_exact(a: list[int], g: list[int]) -> list[int]:
 
 
 def _canonical(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Reduce num/den to the canonical form.
+    """Reduce the integer pair num/den to the canonical form.
 
-    The denominator ends up with constant term 1 and no common factor with
-    the numerator, so equality is structural and the valuation is the lowest
-    exponent of the (Laurent) numerator.
+    The denominator ends up a polynomial with positive constant term and no
+    common factor with the numerator, and the joint content of the pair is
+    1, so equality is structural and the valuation is the lowest exponent of
+    the (Laurent) numerator.
     """
     if not den:
         raise ZeroDivisionError("denominator is zero")
     if not num:
-        return {}, {0: _ONE}
+        return {}, {0: 1}
     low_n, low_d = min(num), min(den)
     num0 = _shift(num, -low_n)
     den0 = _shift(den, -low_d)
     if len(num0) > 1 and len(den0) > 1:
         # a one-term side is c*t^k, whose t-power is already shifted out
-        num0, den0 = _integral(num0, den0)
         g = _gcd_dense(_dense(num0), _dense(den0))
         if len(g) > 1:
             num0 = _sparse(_div_exact(_dense(num0), g))
             den0 = _sparse(_div_exact(_dense(den0), g))
-    c = den0[0]
-    if c != 1:
-        inv = _ONE / c
-        num0 = _scale(num0, inv)
-        den0 = _scale(den0, inv)
+    g = math.gcd(*num0.values(), *den0.values())
+    if den0[0] < 0:
+        g = -g
+    if g != 1:
+        num0 = {e: c // g for e, c in num0.items()}
+        den0 = {e: c // g for e, c in den0.items()}
     return _shift(num0, low_n - low_d), den0
 
 
 class BaseElement:
     """An element of the base field Q(t), kept in reduced canonical form.
 
-    The numerator is a Laurent polynomial in t (negative exponents appear
-    when the element has negative valuation) and the denominator is a
-    polynomial with constant term 1, coprime to the numerator.  Instances
+    The numerator is a Laurent polynomial in t with integer coefficients
+    (negative exponents appear when the element has negative valuation) and
+    the denominator is an integer polynomial with positive constant term,
+    coprime to the numerator; the two share no integer content.  Instances
     are immutable; all operations return new elements.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, numerator, denominator=1):
-        num, den = _canonical(_as_coeffs(numerator), _as_coeffs(denominator))
+        num, den = _canonical(
+            *_integral(_as_coeffs(numerator), _as_coeffs(denominator))
+        )
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
@@ -205,10 +209,6 @@ class BaseElement:
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
         return self
-
-    def _int_pair(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Numerator and denominator scaled to integer coefficients."""
-        return _integral(self._num, self._den)
 
     # -- valuation ----------------------------------------------------------
 
@@ -239,7 +239,7 @@ class BaseElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return BaseElement._make(_scale(self._num, Fraction(-1)), dict(self._den))
+        return BaseElement._make(_scale(self._num, -1), self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -308,10 +308,12 @@ class BaseElement:
     def __str__(self) -> str:
         if not self._num:
             return "0"
-        num = _poly_str(self._num)
-        if self._den == {0: _ONE}:
+        # the printed pair is divided by the denominator's constant term
+        c = self._den[0]
+        num = _poly_str(self._num, c)
+        if len(self._den) == 1:
             return num
-        den = _poly_str(self._den)
+        den = _poly_str(self._den, c)
         if len(self._num) > 1:
             num = f"({num})"
         return f"{num}/({den})"
@@ -331,10 +333,10 @@ def _term_str(c: Fraction, e: int) -> str:
     return f"{c}*{t}"
 
 
-def _poly_str(p: Coeffs) -> str:
+def _poly_str(p: Coeffs, scale: int) -> str:
     parts = []
     for e in sorted(p):
-        s = _term_str(p[e], e)
+        s = _term_str(Fraction(p[e], scale), e)
         if not parts:
             parts.append(s)
         elif s.startswith("-"):
@@ -354,11 +356,3 @@ def format_rational(v) -> str:
     if v == INFINITY:
         return "inf"
     return str(Fraction(v))
-
-
-def parse_rational(text: str):
-    """Parse 'p/q', 'p' or 'inf' back into a Fraction (or INFINITY)."""
-    text = text.strip()
-    if text == "inf":
-        return INFINITY
-    return Fraction(text)

@@ -89,9 +89,9 @@ class BasicModel:
         if x2.valuation() < 0:
             problems.append("rigid point: x2 has negative valuation")
         # cross-multiplied over the integer pairs, so no gcd is taken
-        (n1, d1), (n2, d2) = x1._int_pair(), x2._int_pair()
-        lhs = _mul(_power(n1, self.n1), _power(n2, self.n2))
-        if lhs != _shift(_mul(_power(d1, self.n1), _power(d2, self.n2)), 1):
+        lhs = _mul(_power(x1._num, self.n1), _power(x2._num, self.n2))
+        rhs = _mul(_power(x1._den, self.n1), _power(x2._den, self.n2))
+        if lhs != _shift(rhs, 1):
             problems.append(
                 f"rigid point: x1^{self.n1} * x2^{self.n2} must equal t"
             )
@@ -201,13 +201,12 @@ def _rigid_numerators(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
 
     Every term d * x1^i * x2^j of f(x1 * V^M2, x2 * V^-M1) is brought over
     D = den(x1)^I * den(x2)^J * (product of the distinct denominators of
-    f's coefficients), with I and J the top exponents of T1 and T2, after
-    scaling each fraction to integer coefficients.  Nothing is reduced, so
-    no gcd is taken; D has a nonzero constant term, so v(c_i) is the lowest
-    exponent of P_i.
+    f's coefficients), with I and J the top exponents of T1 and T2, working
+    on the stored integer pairs.  Nothing is reduced, so no gcd is taken; D
+    has a nonzero constant term, so v(c_i) is the lowest exponent of P_i.
     """
     f = _as_pair_poly(f)
-    terms = [(ij, *c._int_pair()) for ij, c in f.terms.items()]
+    terms = [(ij, c._num, c._den) for ij, c in f.terms.items()]
     dens = {tuple(sorted(d.items())): d for _, _, d in terms}
     cofactor = {
         key: reduce(_mul, (d for other, d in dens.items() if other != key), {0: 1})
@@ -215,8 +214,8 @@ def _rigid_numerators(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
     }
     top_i = max((i for i, _ in f.terms), default=0)
     top_j = max((j for _, j in f.terms), default=0)
-    (n1, d1), (n2, d2) = x.x1._int_pair(), x.x2._int_pair()
-    pow1, pow2 = _powers(n1, d1, top_i), _powers(n2, d2, top_j)
+    pow1 = _powers(x.x1._num, x.x1._den, top_i)
+    pow2 = _powers(x.x2._num, x.x2._den, top_j)
     by_exp: dict[int, dict] = {}
     for (i, j), n, d in terms:
         k = i * bm.m2 - j * bm.m1

@@ -78,9 +78,6 @@ class MultivariatePoly:
     def monomial(cls, arity: int, exps: Sequence[int], coeff=1) -> MultivariatePoly:
         return cls(arity, {tuple(exps): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

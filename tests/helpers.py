@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from degenskel import (
+    INFINITY,
     BaseElement,
     BasicModel,
     ModelDescription,
@@ -25,6 +26,16 @@ from degenskel import (
     weight_at,
 )
 from degenskel.dualcomplex import _check_keys, _resolve_zeros
+from degenskel.field import (
+    _add,
+    _dense,
+    _div_exact,
+    _gcd_dense,
+    _mul,
+    _scale,
+    _shift,
+    _sparse,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -54,12 +65,272 @@ def random_poly_t(rng, max_deg=2, nonzero_const=False) -> dict:
             return coeffs
 
 
-def random_element(rng, allow_zero=False) -> BaseElement:
+def random_element_data(rng, allow_zero=False) -> tuple:
+    """(numerator, denominator) input data of a random element."""
     if allow_zero and rng.random() < 0.05:
-        return BaseElement(0)
+        return 0, 1
     shift = rng.randint(-2, 3)
     num = {e + shift: c for e, c in random_poly_t(rng).items()}
-    return BaseElement(num, random_poly_t(rng))
+    return num, random_poly_t(rng)
+
+
+def random_element(rng, allow_zero=False) -> BaseElement:
+    return BaseElement(*random_element_data(rng, allow_zero))
+
+
+# -- reference field arithmetic ------------------------------------------------
+#
+# The Fraction-based BaseElement that the integer canonical form replaced:
+# Fraction coefficients, a denominator with constant term 1, and every
+# reduction scaled to integers and back.  Kept as a slow, independent
+# reference for the seeded comparisons; the integer gcd helpers it calls
+# are shared with the library.
+
+
+def _reference_as_coeffs(value) -> dict:
+    if isinstance(value, dict):
+        out = {}
+        for exp, c in value.items():
+            if isinstance(c, float) or not isinstance(exp, int):
+                raise TypeError("polynomial data must be {int: rational}, no floats")
+            q = Fraction(c)
+            if q:
+                out[exp] = q
+        return out
+    if isinstance(value, float):
+        raise TypeError("floats are not exact; use Fraction or int")
+    q = Fraction(value)
+    return {0: q} if q else {}
+
+
+def _reference_integral(num: dict, den: dict) -> tuple[dict, dict]:
+    lcm = math.lcm(*(c.denominator for c in num.values()),
+                   *(c.denominator for c in den.values()))
+    return (
+        {e: c.numerator * (lcm // c.denominator) for e, c in num.items()},
+        {e: c.numerator * (lcm // c.denominator) for e, c in den.items()},
+    )
+
+
+def _reference_canonical(num: dict, den: dict) -> tuple[dict, dict]:
+    if not den:
+        raise ZeroDivisionError("denominator is zero")
+    if not num:
+        return {}, {0: Fraction(1)}
+    low_n, low_d = min(num), min(den)
+    num0 = _shift(num, -low_n)
+    den0 = _shift(den, -low_d)
+    if len(num0) > 1 and len(den0) > 1:
+        num0, den0 = _reference_integral(num0, den0)
+        g = _gcd_dense(_dense(num0), _dense(den0))
+        if len(g) > 1:
+            num0 = _sparse(_div_exact(_dense(num0), g))
+            den0 = _sparse(_div_exact(_dense(den0), g))
+    c = den0[0]
+    if c != 1:
+        inv = Fraction(1) / c
+        num0 = _scale(num0, inv)
+        den0 = _scale(den0, inv)
+    return _shift(num0, low_n - low_d), den0
+
+
+class ReferenceElement:
+    """Q(t) element with Fraction coefficients over a denominator with
+    constant term 1, coprime to the numerator."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, numerator, denominator=1):
+        self._num, self._den = _reference_canonical(
+            _reference_as_coeffs(numerator), _reference_as_coeffs(denominator)
+        )
+
+    @classmethod
+    def _make(cls, num: dict, den: dict) -> ReferenceElement:
+        self = object.__new__(cls)
+        self._num, self._den = _reference_canonical(num, den)
+        return self
+
+    def valuation(self):
+        return min(self._num) if self._num else INFINITY
+
+    def __bool__(self) -> bool:
+        return bool(self._num)
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, ReferenceElement):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return ReferenceElement(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        num = _add(_mul(self._num, o._den), _mul(o._num, self._den))
+        return ReferenceElement._make(num, _mul(self._den, o._den))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceElement._make(_scale(self._num, Fraction(-1)), dict(self._den))
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceElement._make(_mul(self._num, o._num), _mul(self._den, o._den))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> ReferenceElement:
+        if not self._num:
+            raise ZeroDivisionError("inversion of zero in the base field")
+        return ReferenceElement._make(dict(self._den), dict(self._num))
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = ReferenceElement(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._num == o._num and self._den == o._den
+
+    def __hash__(self):
+        return hash(
+            (tuple(sorted(self._num.items())), tuple(sorted(self._den.items())))
+        )
+
+    def __str__(self) -> str:
+        if not self._num:
+            return "0"
+        num = _reference_poly_str(self._num)
+        if self._den == {0: Fraction(1)}:
+            return num
+        den = _reference_poly_str(self._den)
+        if len(self._num) > 1:
+            num = f"({num})"
+        return f"{num}/({den})"
+
+
+def _reference_term_str(c: Fraction, e: int) -> str:
+    if e == 0:
+        return str(c)
+    t = "t" if e == 1 else f"t^{e}"
+    if c == 1:
+        return t
+    if c == -1:
+        return f"-{t}"
+    return f"{c}*{t}"
+
+
+def _reference_poly_str(p: dict) -> str:
+    parts = []
+    for e in sorted(p):
+        s = _reference_term_str(p[e], e)
+        if not parts:
+            parts.append(s)
+        elif s.startswith("-"):
+            parts.append(f" - {s[1:]}")
+        else:
+            parts.append(f" + {s}")
+    return "".join(parts)
+
+
+def _rational_gcd_degree(a: dict, b: dict) -> int:
+    """Degree of gcd(a, b) over Q, by the Euclidean algorithm on Fractions,
+    for polynomials a, b with nonzero constant terms."""
+    a = [Fraction(a.get(e, 0)) for e in range(max(a) + 1)]
+    b = [Fraction(b.get(e, 0)) for e in range(max(b) + 1)]
+    while b:
+        while a and len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def assert_canonical(x: BaseElement):
+    """The integer canonical form: int coefficients, a denominator with
+    positive constant term, joint content 1, numerator and denominator
+    coprime."""
+    num, den = x._num, x._den
+    assert all(type(c) is int for c in (*num.values(), *den.values())), (num, den)
+    assert min(den) == 0 and den[0] > 0, den
+    if not num:
+        assert den == {0: 1}, den
+        return
+    assert math.gcd(*num.values(), *den.values()) == 1, (num, den)
+    low = min(num)
+    assert _rational_gcd_degree({e - low: c for e, c in num.items()}, den) == 0
+
+
+def assert_matches_reference(x: BaseElement, ref: ReferenceElement):
+    """x is the reference element: the integer pair divided by the
+    denominator's constant term is the reference's Fraction pair."""
+    assert_canonical(x)
+    c = x._den[0]
+    assert {e: Fraction(v, c) for e, v in x._num.items()} == ref._num, (x, ref)
+    assert {e: Fraction(v, c) for e, v in x._den.items()} == ref._den, (x, ref)
+    assert str(x) == str(ref)
+    assert x.valuation() == ref.valuation()
+
+
+def random_expression(rng, depth=3) -> tuple[str, ReferenceElement]:
+    """A random field-element expression in t with fractional coefficients
+    and t in denominators, and its value in reference arithmetic."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(3)
+        if kind == 0:
+            n = rng.randint(0, 9)
+            return str(n), ReferenceElement(n)
+        if kind == 1:
+            q = Fraction(rng.randint(1, 9), rng.randint(2, 7))
+            return f"({q.numerator}/{q.denominator})", ReferenceElement(q)
+        e = rng.randint(-2, 3)
+        return f"t^{e}", ReferenceElement({e: 1})
+    op = rng.choice("+-*/^")
+    lhs, lval = random_expression(rng, depth - 1)
+    if op == "^":
+        n = rng.randint(-2, 3) if lval else rng.randint(0, 3)
+        return f"({lhs})^{n}", lval**n
+    rhs, rval = random_expression(rng, depth - 1)
+    if op == "/" and not rval:
+        op = "*"
+    value = {
+        "+": lambda: lval + rval,
+        "-": lambda: lval - rval,
+        "*": lambda: lval * rval,
+        "/": lambda: lval / rval,
+    }[op]()
+    return f"({lhs}){op}({rhs})", value
 
 
 def random_unit(rng) -> BaseElement:

@@ -197,7 +197,7 @@ def test_retract_command(capsys):
 
 
 def test_ks_output_reparses_to_equal_subcomplex(capsys):
-    from degenskel import Subcomplex, build_complex, ks_skeleton, parse_rational
+    from degenskel import Subcomplex, build_complex, ks_skeleton
     from helpers import load_form, load_model
 
     model = load_model("chain_123.json")
@@ -207,7 +207,7 @@ def test_ks_output_reparses_to_equal_subcomplex(capsys):
     payload = json.loads(out)
     rebuilt = Subcomplex(build_complex(model), payload["strata"])
     assert rebuilt == ks_skeleton(model, form)
-    assert parse_rational(payload["globalWeight"]) == Fraction(1, 3)
+    assert Fraction(payload["globalWeight"]) == Fraction(1, 3)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -336,6 +336,33 @@ def test_mistyped_point_exits_1(capsys, point, message):
     )
     assert code == 1
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "literal", ["0.30000000000000001", "0.3", "1e-400", "1.0", "5E-1"]
+)
+def test_json_float_coordinate_exits_1(capsys, literal):
+    point = '{"stratum": "C12", "barycentric": {"E1": %s, "E2": "7/10"}}' % literal
+    code, out, err = run(
+        capsys, "weight", fx("chain_123.json"), fx("chain_form_flat.json"), point
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: invalid barycentric coordinate for E1: a JSON float is not exact;"
+        ' write the rational as a string such as "3/10"\n'
+    )
+
+
+@pytest.mark.parametrize("coords", ['"3/10", "E2": "7/10"', '1, "E2": 0'])
+def test_exact_coordinates_are_accepted(capsys, coords):
+    # the string the float message suggests, and JSON integers
+    point = '{"stratum": "C12", "barycentric": {"E1": %s}}' % coords
+    code, out, _ = run(
+        capsys, "weight", fx("chain_123.json"), fx("chain_form_flat.json"), point
+    )
+    assert code == 0
+    assert json.loads(out)["stratum"] in ("C12", "E1")
 
 
 def test_missing_file_exits_1(capsys):

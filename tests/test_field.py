@@ -10,7 +10,16 @@ from degenskel import (
     parse_element,
     uniformizer,
 )
-from helpers import random_element, random_poly_t, random_unit
+from helpers import (
+    ReferenceElement,
+    assert_canonical,
+    assert_matches_reference,
+    random_element,
+    random_element_data,
+    random_expression,
+    random_poly_t,
+    random_unit,
+)
 
 
 def test_valuation_examples():
@@ -132,3 +141,46 @@ def test_floats_are_rejected():
         BaseElement(0.5)
     with pytest.raises(TypeError):
         BaseElement({1: 0.5})
+
+
+def test_integer_form_matches_fraction_reference_sampled():
+    # the integer pair against the Fraction-based form it replaced, on the
+    # same input data; every result must also be in integer canonical form
+    rng = random.Random(606)
+    for _ in range(300):
+        data = [random_element_data(rng, allow_zero=True) for _ in range(2)]
+        a, b = (BaseElement(*d) for d in data)
+        ra, rb = (ReferenceElement(*d) for d in data)
+        results = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb)]
+        results += [(a * b, ra * rb), (-a, -ra), (a + 1, ra + 1)]
+        results += [(a * Fraction(-2, 3), ra * Fraction(-2, 3))]
+        n = rng.randint(-3, 4) if a else rng.randint(0, 4)
+        results.append((a**n, ra**n))
+        if b:
+            results += [(a / b, ra / rb), (b.inverse(), rb.inverse())]
+            c = a * b / b
+            assert c == a and hash(c) == hash(a)
+        for x, rx in results:
+            assert_matches_reference(x, rx)
+        assert (a == b) == (ra == rb)
+
+
+def test_parser_matches_fraction_reference_sampled():
+    rng = random.Random(707)
+    for _ in range(300):
+        text, value = random_expression(rng)
+        x = parse_element(text)
+        assert_matches_reference(x, value)
+        assert parse_element(str(x)) == x
+
+
+def test_canonical_form_examples():
+    t = uniformizer()
+    x = (BaseElement(Fraction(1, 3)) + t / 7) / (2 - t)
+    assert (x._num, x._den) == ({0: 7, 1: 3}, {0: 42, 1: -21})
+    assert str(x) == "(1/6 + 1/14*t)/(1 - 1/2*t)"
+    y = BaseElement({1: 2}, {0: -4, 2: 6})
+    assert (y._num, y._den) == ({1: -1}, {0: 2, 2: -3})
+    assert str(y) == "-1/2*t/(1 - 3/2*t^2)"
+    for z in (x, y, x * y, x / y, x - x, BaseElement(Fraction(-5, 6))):
+        assert_canonical(z)
