@@ -69,7 +69,10 @@ def _emit(payload, output: str | None):
 
 
 def _point_from_arg(arg: str) -> SkeletonPoint:
-    data = json.loads(arg) if arg.lstrip().startswith("{") else _read_json(arg)
+    try:
+        data = json.loads(arg) if arg.lstrip().startswith("{") else _read_json(arg)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"point argument: malformed JSON: {exc}") from None
     if (
         not isinstance(data, dict)
         or not isinstance(data.get("stratum"), str)
@@ -345,7 +348,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
-    except (ZeroDivisionError, json.JSONDecodeError) as exc:
+    except ZeroDivisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -87,6 +87,13 @@ def _scale(p: Coeffs, c) -> Coeffs:
     return {e: v * c for e, v in p.items()}
 
 
+def _power(p: Coeffs, n: int) -> Coeffs:
+    out: Coeffs = {0: 1}
+    for bit in bin(n)[2:]:  # left-to-right binary powering
+        out = _mul(_mul(out, out), p) if bit == "1" else _mul(out, out)
+    return out
+
+
 # -- dense integer helpers for gcd reduction (exponents >= 0, trimmed lists) --
 
 
@@ -162,6 +169,8 @@ def _canonical(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
         raise ZeroDivisionError("denominator is zero")
     if not num:
         return {}, {0: 1}
+    if den == {0: 1}:
+        return num, den
     low_n, low_d = min(num), min(den)
     num0 = _shift(num, -low_n)
     den0 = _shift(den, -low_d)
@@ -204,8 +213,12 @@ class BaseElement:
 
     @classmethod
     def _make(cls, num: Coeffs, den: Coeffs) -> BaseElement:
+        return cls._of(*_canonical(num, den))
+
+    @classmethod
+    def _of(cls, num: Coeffs, den: Coeffs) -> BaseElement:
+        """Wrap a pair that is already in canonical form."""
         self = object.__new__(cls)
-        num, den = _canonical(num, den)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
         return self
@@ -239,7 +252,7 @@ class BaseElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return BaseElement._make(_scale(self._num, -1), self._den)
+        return BaseElement._of(_scale(self._num, -1), self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -264,7 +277,12 @@ class BaseElement:
     def inverse(self) -> BaseElement:
         if not self._num:
             raise ZeroDivisionError("inversion of zero in the base field")
-        return BaseElement._make(dict(self._den), dict(self._num))
+        # den/num, shifted so num's lowest term is a positive constant term
+        v = min(self._num)
+        s = -1 if self._num[v] < 0 else 1
+        return BaseElement._of(
+            _scale(_shift(self._den, -v), s), _scale(_shift(self._num, -v), s)
+        )
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -283,14 +301,8 @@ class BaseElement:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = BaseElement(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        # powers of a coprime pair with joint content 1 stay canonical
+        return BaseElement._of(_power(self._num, n), _power(self._den, n))
 
     # -- comparison and rendering -------------------------------------------
 

@@ -42,7 +42,7 @@ from typing import Mapping
 
 from .dualcomplex import ModelDescription, MonomialPointData
 from .errors import ValidationError
-from .field import INFINITY, BaseElement, _add, _mul, _scale, _shift, uniformizer
+from .field import INFINITY, BaseElement, _add, _mul, _power, _scale, _shift, uniformizer
 from .monoval import MultivariatePoly
 
 
@@ -183,10 +183,6 @@ def min_term_value(valuations: Mapping[int, object], s):
 # -- rigid points -------------------------------------------------------------
 
 
-def _power(p: dict, n: int) -> dict:
-    return reduce(_mul, [p] * n, {0: 1})
-
-
 def _powers(num: dict, den: dict, top: int) -> list[dict]:
     """[num^i * den^(top - i) for i = 0..top]: x^i over the common den^top."""
     up, down = [{0: 1}], [{0: 1}]
@@ -230,16 +226,26 @@ def _rigid_numerators(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
     return _taylor_at_one(by_exp, _add, _scale), den
 
 
+def _expanded(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
+    """_rigid_numerators(bm, x, f), memoized on the immutable point for an
+    equal model and that same polynomial object; only the last is kept."""
+    cached = x.__dict__.get("_expansion")
+    if cached is None or cached[0] != bm or cached[1] is not f:
+        cached = (bm, f, _rigid_numerators(bm, x, f))
+        object.__setattr__(x, "_expansion", cached)
+    return cached[2]
+
+
 def flow_valuations(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
     """v(c_i) for the nonzero Taylor coefficients c_i of the flow of f
     through a rigid point, computed without reducing any c_i."""
-    numerators, _ = _rigid_numerators(bm, x, f)
+    numerators, _ = _expanded(bm, x, f)
     return {i: min(p) for i, p in numerators.items()}
 
 
 def flow_expansion(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
     """Nonzero Taylor coefficients c_i of the flow of f through a rigid point."""
-    numerators, den = _rigid_numerators(bm, x, f)
+    numerators, den = _expanded(bm, x, f)
     return {i: BaseElement._make(p, den) for i, p in numerators.items()}
 
 

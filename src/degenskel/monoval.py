@@ -22,13 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
-from .field import INFINITY, BaseElement
-
-
-def _coerce_coeff(value) -> BaseElement:
-    if isinstance(value, BaseElement):
-        return value
-    return BaseElement(value)
+from .field import INFINITY, BaseElement, _add, _mul
 
 
 class MultivariatePoly:
@@ -53,7 +47,7 @@ class MultivariatePoly:
                     f"exponent tuple {exps} is not a length-{arity} tuple of"
                     " nonnegative integers"
                 )
-            c = _coerce_coeff(coeff)
+            c = coeff if isinstance(coeff, BaseElement) else BaseElement(coeff)
             if c:
                 clean[exps] = c
         object.__setattr__(self, "arity", arity)
@@ -64,7 +58,7 @@ class MultivariatePoly:
 
     @classmethod
     def constant(cls, arity: int, value) -> MultivariatePoly:
-        return cls(arity, {(0,) * arity: _coerce_coeff(value)})
+        return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def variable(cls, index: int, arity: int) -> MultivariatePoly:
@@ -111,25 +105,26 @@ class MultivariatePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, BaseElement)):
-            c = _coerce_coeff(other)
-            return MultivariatePoly(
-                self.arity, {e: v * c for e, v in self.terms.items()}
-            )
+            other = MultivariatePoly.constant(self.arity, other)
         if not isinstance(other, MultivariatePoly):
             return NotImplemented
         self._check_arity(other)
-        out: dict[tuple[int, ...], BaseElement] = {}
+        # sum each coefficient as an unreduced integer pair; reduce it once
+        acc: dict[tuple[int, ...], tuple[dict, dict]] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e)
-                p = ca * cb
-                s = p if s is None else s + p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultivariatePoly(self.arity, out)
+                num, den = _mul(ca._num, cb._num), _mul(ca._den, cb._den)
+                if e in acc:
+                    n, d = acc[e]
+                    if d == den:
+                        num = _add(n, num)
+                    else:
+                        num, den = _add(_mul(n, den), _mul(num, d)), _mul(d, den)
+                acc[e] = (num, den)
+        return MultivariatePoly(self.arity, {
+            e: BaseElement._make(num, den) for e, (num, den) in acc.items() if num
+        })
 
     __rmul__ = __mul__
 
@@ -189,12 +184,6 @@ class MultivariatePoly:
         return f"MultivariatePoly({' + '.join(parts)})"
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise ValidationError("weights must be exact rationals, not floats")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class MonomialWeights:
     """Weight tuple alpha, optionally tied to component multiplicities N.
@@ -207,7 +196,9 @@ class MonomialWeights:
     multiplicities: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        alpha = tuple(_as_fraction(a) for a in self.alpha)
+        if any(isinstance(a, float) for a in self.alpha):
+            raise ValidationError("weights must be exact rationals, not floats")
+        alpha = tuple(Fraction(a) for a in self.alpha)
         object.__setattr__(self, "alpha", alpha)
         if any(a < 0 for a in alpha):
             raise ValidationError("weights must be nonnegative")

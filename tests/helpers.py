@@ -348,6 +348,18 @@ def random_poly(rng, arity, max_terms=4, max_exp=3) -> MultivariatePoly:
     return MultivariatePoly(arity, terms)
 
 
+def reference_poly_product(f: MultivariatePoly, g: MultivariatePoly) -> dict:
+    """Terms of f * g summed term by term in canonical field arithmetic, so
+    every coefficient product and partial sum is a reduced BaseElement;
+    reference for the product that reduces each coefficient once."""
+    out: dict[tuple[int, ...], BaseElement] = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, BaseElement(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
 def random_weights(rng, arity, allow_zero=True) -> MonomialWeights:
     lo = 0 if allow_zero else 1
     return MonomialWeights(

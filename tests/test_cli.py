@@ -227,6 +227,16 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     assert "malformed JSON" in err
 
 
+@pytest.mark.parametrize("point", ["{bad", '{"stratum": "C12",', " {}}"])
+def test_malformed_inline_point_exits_1(capsys, point):
+    code, out, err = run(
+        capsys, "weight", fx("chain_123.json"), fx("chain_form_flat.json"), point
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: point argument: malformed JSON: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_face_list_exits_1(tmp_path, capsys):
     path = tmp_path / "faces.json"
     path.write_text(json.dumps({

@@ -184,3 +184,37 @@ def test_canonical_form_examples():
     assert str(y) == "-1/2*t/(1 - 3/2*t^2)"
     for z in (x, y, x * y, x / y, x - x, BaseElement(Fraction(-5, 6))):
         assert_canonical(z)
+
+
+def test_negation_and_inverse_match_reference_sampled():
+    # both build the canonical pair directly, without a reduction; the
+    # samples cover negative valuations and negative lowest coefficients,
+    # where the inverse's denominator must be made positive
+    rng = random.Random(808)
+    seen = set()
+    for _ in range(400):
+        data = random_element_data(rng, allow_zero=True)
+        a, ra = BaseElement(*data), ReferenceElement(*data)
+        assert_matches_reference(-a, -ra)
+        assert -(-a) == a and a + (-a) == 0
+        if not a:
+            continue
+        low = min(a._num)
+        seen.add((low < 0, a._num[low] < 0))
+        inv = a.inverse()
+        assert_matches_reference(inv, ra.inverse())
+        assert inv.inverse() == a and a * inv == 1
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_inverse_examples():
+    # (-3*t^-2 + 1)/(2 + t) inverts to -t^2*(2 + t)/(3 - t^2)
+    a = BaseElement({-2: -3, 0: 1}, {0: 2, 1: 1})
+    inv = a.inverse()
+    assert (inv._num, inv._den) == ({2: -2, 3: -1}, {0: 3, 2: -1})
+    assert inv.valuation() == 2
+    assert str(inv) == "(-2/3*t^2 - 1/3*t^3)/(1 - 1/3*t^2)"
+    assert_canonical(inv)
+    neg = -a
+    assert (neg._num, neg._den) == ({-2: 3, 0: -1}, {0: 2, 1: 1})
+    assert_canonical(neg)

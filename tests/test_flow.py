@@ -17,6 +17,7 @@ from degenskel import (
     flow_value_monomial,
     flow_valuations,
     field,
+    flow,
     monomial_valuation,
     parse_polynomial,
     retract_point,
@@ -159,6 +160,73 @@ def test_flow_value_needs_no_gcd(monkeypatch):
     with pytest.raises(AssertionError, match="gcd taken"):
         for bm, x, f, _ in cases:
             reference_flow_expansion(bm, x, f)
+
+
+def test_flow_expands_once_per_point_and_polynomial(monkeypatch):
+    calls = []
+    expand = flow._rigid_numerators
+
+    def counting(bm, x, f):
+        calls.append(f)
+        return expand(bm, x, f)
+
+    monkeypatch.setattr(flow, "_rigid_numerators", counting)
+    bm, x = basic_point()
+    f = parse_polynomial("T1^2 + t*T2 + T1*T2^3", arity=2)
+    expansion, valuations, values = reference_values(bm, x, f)
+    assert flow_expansion(bm, x, f) == expansion
+    assert [flow_value(bm, x, s, f) for s in (*S_GRID, INFINITY)] == values
+    assert flow_valuations(bm, x, f) == valuations
+    assert flow_expansion(bm, x, f) == expansion
+    assert calls == [f]
+    # an equal model reuses the entry; a new polynomial is expanded, even
+    # an equal one, and only the last entry is kept
+    assert flow_value(BasicModel(1, 1), x, 1, f) == values[2]
+    g = parse_polynomial("T1^2 + t*T2 + T1*T2^3", arity=2)
+    assert g == f and flow_valuations(bm, x, g) == valuations
+    assert flow_valuations(bm, x, g) == valuations
+    assert flow_valuations(bm, x, f) == valuations
+    assert [c is f for c in calls] == [True, False, True]
+    # (1, t) is a rigid point of (1, 1) and of (2, 1) alike, and the two
+    # models move it differently: a different model must expand again
+    t = uniformizer()
+    y = bm.rigid_point(BaseElement(1), t)
+    other = BasicModel(2, 1)
+    assert other.rigid_point(y.x1, y.x2) == y
+    h = parse_polynomial("T1 + T2^2 + t", arity=2)
+    for model in (bm, other, bm):
+        assert flow_expansion(model, y, h) == reference_flow_expansion(model, y, h)
+    assert len(calls) == 6
+    assert reference_flow_expansion(bm, y, h) != reference_flow_expansion(other, y, h)
+
+
+def test_flow_memo_interleaved_matches_reference_sampled():
+    rng = random.Random(27)
+    times = (*S_GRID, INFINITY)
+    for n1, n2 in ((1, 1), (2, 1), (1, 2)):
+        bm = BasicModel(n1, n2)
+        points = [random_rigid_point(rng, bm) for _ in range(3)]
+        polys = [random_poly(rng, 2, max_terms=5) for _ in range(3)]
+        # equal to the first polynomial but another object
+        polys.append(MultivariatePoly(2, polys[0].terms))
+        assert polys[-1] == polys[0] and polys[-1] is not polys[0]
+        expected = {
+            (a, b): reference_values(bm, x, f)
+            for a, x in enumerate(points)
+            for b, f in enumerate(polys)
+        }
+        for _ in range(60):
+            a, b = rng.randrange(len(points)), rng.randrange(len(polys))
+            x, f = points[a], polys[b]
+            expansion, valuations, values = expected[a, b]
+            query = rng.randrange(3)
+            if query == 0:
+                assert flow_expansion(bm, x, f) == expansion
+            elif query == 1:
+                assert flow_valuations(bm, x, f) == valuations
+            else:
+                k = rng.randrange(len(times))
+                assert flow_value(bm, x, times[k], f) == values[k]
 
 
 def test_rigid_point_validation():

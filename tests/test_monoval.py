@@ -5,6 +5,7 @@ import pytest
 
 from degenskel import (
     INFINITY,
+    field,
     BaseElement,
     MonomialWeights,
     MultivariatePoly,
@@ -13,7 +14,13 @@ from degenskel import (
     parse_polynomial,
     uniformizer,
 )
-from helpers import random_element, random_poly, random_weights
+from helpers import (
+    assert_canonical,
+    random_element,
+    random_poly,
+    random_weights,
+    reference_poly_product,
+)
 
 
 def test_eval_two_term_example():
@@ -149,3 +156,53 @@ def test_evaluate_substitution():
     f = parse_polynomial("T1^2 + t*T2")
     x1, x2 = random_element(rng), random_element(rng)
     assert f.evaluate([x1, x2]) == x1 * x1 + t * x2
+
+
+def test_product_matches_termwise_reference_sampled():
+    # coefficients carry fractions and t in their denominators; each output
+    # coefficient is summed unreduced and reduced once, which must give the
+    # same canonical elements as reducing every product and partial sum
+    rng = random.Random(81)
+    mixed_dens = cancelled = 0
+    for _ in range(300):
+        arity = rng.randint(1, 3)
+        f = random_poly(rng, arity, max_terms=5, max_exp=2)
+        g = random_poly(rng, arity, max_terms=5, max_exp=2)
+        if rng.random() < 0.3:
+            # (a*T1 + b) * (c*T1 + d) with c = -a*d/b: the T1 coefficient
+            # a*d + b*c cancels to zero, typically across denominators
+            a, b, d = (random_element(rng) for _ in range(3))
+            T1 = MultivariatePoly.variable(1, arity)
+            f = T1 * a + MultivariatePoly.constant(arity, b)
+            g = T1 * (-a * d / b) + MultivariatePoly.constant(arity, d)
+        product = f * g
+        assert product.terms == reference_poly_product(f, g)
+        for c in product.terms.values():
+            assert_canonical(c)
+        dens: dict = {}
+        for ea, ca in f.terms.items():
+            for eb, cb in g.terms.items():
+                e = tuple(p + q for p, q in zip(ea, eb))
+                den = frozenset(field._mul(ca._den, cb._den).items())
+                dens.setdefault(e, set()).add(den)
+        mixed_dens += any(len(v) > 1 for v in dens.values())
+        cancelled += len(dens) - len(product.terms)
+    assert mixed_dens > 50 and cancelled > 50
+
+
+def test_product_examples():
+    t = uniformizer()
+    one = BaseElement(1)
+    # two denominators on the T1 coefficient
+    f = parse_polynomial("T1/(1+t) + 1/(2-t)", arity=1)
+    g = parse_polynomial("T1/(2-t) - 1/(1+t)", arity=1)
+    assert (f * g).terms == {
+        (2,): one / ((1 + t) * (2 - t)),
+        (1,): one / (2 - t) ** 2 - one / (1 + t) ** 2,
+        (0,): -one / ((1 + t) * (2 - t)),
+    }
+    # t/(1+t) - t*(2-t)/((2-t)*(1+t)) cancels, so T1 is dropped
+    g = parse_polynomial("-t*(2-t)/(1+t)*T1 + t", arity=1)
+    assert (f * g).terms == {(2,): -t * (2 - t) / (1 + t) ** 2, (0,): t / (2 - t)}
+    h = parse_polynomial("(T1 + 1/2)*(T1 - 1/2)", arity=1)
+    assert h.terms == {(2,): one, (0,): BaseElement(Fraction(-1, 4))}
