@@ -38,13 +38,11 @@ from .weight import (
 from .flow import (
     BasicModel,
     RigidPoint,
-    TwistedElement,
     flow_expansion,
     flow_value,
     flow_value_monomial,
     flow_valuations,
     retract_point,
-    twisted_expansion,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +62,6 @@ __all__ = [
     "SkeletonPoint",
     "Stratum",
     "Subcomplex",
-    "TwistedElement",
     "ValidationError",
     "WeightValue",
     "barycentric_to_monomial",
@@ -88,7 +85,6 @@ __all__ = [
     "parse_flow_time",
     "parse_polynomial",
     "retract_point",
-    "twisted_expansion",
     "uniformizer",
     "weight_at",
 ]

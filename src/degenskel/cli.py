@@ -39,15 +39,21 @@ from .weight import (
 PROG = "degenskel"
 
 
+def _loads(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{source}: malformed JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{source}: JSON nested too deeply") from None
+
+
 def _read_json(path: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: malformed JSON: {exc}") from None
+    return _loads(text, path)
 
 
 def _load_model(path: str) -> ModelDescription:
@@ -69,10 +75,7 @@ def _emit(payload, output: str | None):
 
 
 def _point_from_arg(arg: str) -> SkeletonPoint:
-    try:
-        data = json.loads(arg) if arg.lstrip().startswith("{") else _read_json(arg)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"point argument: malformed JSON: {exc}") from None
+    data = _loads(arg, "point argument") if arg.lstrip().startswith("{") else _read_json(arg)
     if (
         not isinstance(data, dict)
         or not isinstance(data.get("stratum"), str)

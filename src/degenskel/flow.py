@@ -23,18 +23,15 @@ Two kinds of points are supported.  Rigid points have coordinates in the
 base field subject to x1^N1 * x2^N2 = t with nonnegative valuations; their
 expansion coefficients are concrete field elements and all cancellation is
 exact.  Monomial points on the edge carry weights (a1, a2); their
-coordinates satisfy no relation beyond x1^N1 * x2^N2 = t, so coefficients
-live in a twisted monomial ring with that relation rewritten into a normal
-form 0 <= p < N1.  Distinct normal-form monomials are independent, making
-term valuations v_K(d) + p*a1 + q*a2 exact with no cross-term cancellation,
-while coefficients inside one normal form cancel exactly; an expression that
-is actually zero is therefore detected as zero rather than reported with a
-finite valuation.
+coordinates satisfy no relation beyond x1^N1 * x2^N2 = t, so f is rewritten
+into its normal form, a sum of d * x1^p * x2^q with 0 <= p < N1, where an
+expression that is actually zero cancels exactly.  Distinct normal forms
+are independent and each moves as one power of V, so every v(c_i) is a
+minimum of v_K(d) + p*a1 + q*a2, read off without building any c_i.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -42,7 +39,7 @@ from typing import Mapping
 
 from .dualcomplex import ModelDescription, MonomialPointData
 from .errors import ValidationError
-from .field import INFINITY, BaseElement, _add, _mul, _power, _scale, _shift, uniformizer
+from .field import INFINITY, BaseElement, _add, _mul, _power, _scale, _shift
 from .monoval import MultivariatePoly
 
 
@@ -145,14 +142,12 @@ def _as_pair_poly(f: MultivariatePoly) -> MultivariatePoly:
     return f.with_arity(2)
 
 
-def _taylor_at_one(by_exp: Mapping[int, object], add, scale):
+def _taylor_at_one(by_exp: Mapping[int, dict]) -> dict[int, dict]:
     """Taylor coefficients around V = 1 after clearing the V-denominator.
 
-    Takes a Laurent polynomial sum a_k V^k with coefficients in any exact
-    ring, given by its add and integer-scale operations, multiplies by the
-    minimal power of V making it a polynomial, and returns the nonzero
-    coefficients c_i of (V - 1)^i via the binomial transform
-    c_i = sum_k C(k, i) a_k.
+    Multiplies sum a_k V^k, with integer polynomials a_k, by the least power
+    of V making it a polynomial and returns the nonzero coefficients c_i of
+    (V - 1)^i via the binomial transform c_i = sum_k C(k, i) a_k.
     """
     if not by_exp:
         return {}
@@ -163,8 +158,8 @@ def _taylor_at_one(by_exp: Mapping[int, object], add, scale):
         acc = None
         for k, coeff in dense.items():
             if k >= i:
-                term = scale(coeff, math.comb(k, i))
-                acc = term if acc is None else add(acc, term)
+                term = _scale(coeff, math.comb(k, i))
+                acc = term if acc is None else _add(acc, term)
         if acc:
             out[i] = acc
     return out
@@ -223,7 +218,7 @@ def _rigid_numerators(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
         else:
             by_exp.pop(k, None)
     den = reduce(_mul, dens.values(), _mul(pow1[0], pow2[0]))
-    return _taylor_at_one(by_exp, _add, _scale), den
+    return _taylor_at_one(by_exp), den
 
 
 def _expanded(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
@@ -273,111 +268,40 @@ def retract_point(bm: BasicModel, x: RigidPoint) -> MonomialPointData:
 # -- monomial points ----------------------------------------------------------
 
 
-class TwistedElement:
-    """Element of the monomial ring K[x1, x2] with x1^N1 * x2^N2 = t.
+def _normal_form(bm: BasicModel, f: MultivariatePoly) -> dict[tuple[int, int], BaseElement]:
+    """f as a sum of d * x1^p * x2^q with 0 <= p < N1, where x1^N1 * x2^N2 = t.
 
-    Terms are stored by exponent pairs (p, q) in the normal form
-    0 <= p < N1, obtained by absorbing powers of the relation into the
-    base-field coefficient.  Distinct normal forms are linearly independent
-    over the base field, so the valuation at edge weights (a1, a2) is the
-    exact minimum of v_K(d) + p*a1 + q*a2 over the stored terms.
+    d * T1^i * T2^j becomes d * t^l * x1^(i - l*N1) * x2^(j - l*N2) with
+    l = i // N1.  Sums of one normal form cancel exactly; zeros are dropped.
     """
-
-    __slots__ = ("model", "terms")
-
-    def __init__(self, model: BasicModel, terms: Mapping[tuple[int, int], BaseElement] = ()):
-        clean: dict[tuple[int, int], BaseElement] = {}
-        for (p, q), coeff in dict(terms).items():
-            if not 0 <= p < model.n1:
-                raise ValidationError(
-                    f"exponent pair ({p}, {q}) is not in normal form"
-                )
-            if coeff:
-                clean[(p, q)] = coeff
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedElement is immutable")
-
-    @classmethod
-    def monomial(cls, model: BasicModel, p: int, q: int, coeff) -> TwistedElement:
-        """d * x1^p * x2^q, reduced to normal form.
-
-        Exponents shift by multiples of (N1, N2) against powers of t:
-        x1^p x2^q = t^k * x1^(p - k*N1) * x2^(q - k*N2) with k = floor(p/N1).
-        """
-        if not isinstance(coeff, BaseElement):
-            coeff = BaseElement(coeff)
-        k = p // model.n1
-        if k:
-            coeff = coeff * uniformizer() ** k
-            p -= k * model.n1
-            q -= k * model.n2
-        return cls(model, {(p, q): coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, TwistedElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        for pq, coeff in other.terms.items():
-            acc = terms.get(pq)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                terms[pq] = acc
-            else:
-                terms.pop(pq, None)
-        return TwistedElement(self.model, terms)
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, BaseElement)):
-            return NotImplemented
-        return TwistedElement(
-            self.model, {pq: c * other for pq, c in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def valuation(self, a1: Fraction, a2: Fraction):
-        """min(v_K(d) + p*a1 + q*a2) over the terms; INFINITY for zero."""
-        best = INFINITY
-        for (p, q), coeff in self.terms.items():
-            v = coeff.valuation() + p * a1 + q * a2
-            if v < best:
-                best = v
-        return best
-
-    def __eq__(self, other):
-        if not isinstance(other, TwistedElement):
-            return NotImplemented
-        return self.model == other.model and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "TwistedElement(0)"
-        parts = [
-            f"({coeff})*x1^{p}*x2^{q}" for (p, q), coeff in sorted(self.terms.items())
-        ]
-        return f"TwistedElement({' + '.join(parts)})"
+    sums: dict[tuple[int, int], BaseElement] = {}
+    for (i, j), d in _as_pair_poly(f).terms.items():
+        l = i // bm.n1
+        pq = (i - l * bm.n1, j - l * bm.n2)
+        d = BaseElement._of(_shift(d._num, l), d._den)  # t^l * d stays canonical
+        sums[pq] = sums[pq] + d if pq in sums else d
+    return {pq: d for pq, d in sums.items() if d}
 
 
-def twisted_expansion(bm: BasicModel, f: MultivariatePoly):
-    """Taylor coefficients of the flow of f with twisted-ring coefficients."""
-    f = _as_pair_poly(f)
-    by_exp: dict[int, TwistedElement] = {}
-    for (i, j), coeff in f.terms.items():
-        k = i * bm.m2 - j * bm.m1
-        term = TwistedElement.monomial(bm, i, j, coeff)
-        acc = by_exp.get(k)
-        acc = term if acc is None else acc + term
-        if acc:
-            by_exp[k] = acc
-        else:
-            by_exp.pop(k, None)
-    return _taylor_at_one(by_exp, operator.add, operator.mul)
+def _monomial_valuations(bm: BasicModel, a1, a2, f: MultivariatePoly):
+    """v(c_i) for the Taylor coefficients c_i of the flow of f through the
+    monomial point with edge weights (a1, a2).
+
+    x1^p * x2^q moves as V^k, k = p*M2 - q*M1 (the relation has V-degree
+    N1*M2 - N2*M1 = 0); after clearing V by V^shift, c_i is the sum of
+    C(k + shift, i) * d * x1^p * x2^q over the normal forms with
+    k + shift >= i.  Binomials are positive integers and distinct normal
+    forms are independent over K: v(c_i) = min v(d) + p*a1 + q*a2 over them.
+    """
+    terms = [
+        (p * bm.m2 - q * bm.m1, d.valuation() + p * a1 + q * a2)
+        for (p, q), d in _normal_form(bm, f).items()
+    ]
+    if not terms:
+        return {}
+    shift = max(0, -min(k for k, _ in terms))
+    top = max(k for k, _ in terms) + shift
+    return {i: min(v for k, v in terms if k + shift >= i) for i in range(top + 1)}
 
 
 def flow_value_monomial(bm: BasicModel, data: MonomialPointData, s, f: MultivariatePoly):
@@ -385,12 +309,9 @@ def flow_value_monomial(bm: BasicModel, data: MonomialPointData, s, f: Multivari
 
     Skeleton points are fixed by the flow: the value is independent of the
     flow time and agrees with the monomial valuation of f at the weights.
-    That property is asserted by the test suite, not assumed here: the
-    computation below goes through the twisted expansion.
+    That property is asserted by the test suite, not assumed here: every
+    Taylor coefficient's valuation is read off the normal form of f.
     """
     s = _check_flow_time(s)
     a1, a2 = bm._edge_weights(data)
-    expansion = twisted_expansion(bm, f)
-    return min_term_value(
-        {i: c.valuation(a1, a2) for i, c in expansion.items()}, s
-    )
+    return min_term_value(_monomial_valuations(bm, a1, a2, f), s)

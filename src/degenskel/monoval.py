@@ -57,6 +57,14 @@ class MultivariatePoly:
         raise AttributeError("MultivariatePoly is immutable")
 
     @classmethod
+    def _of(cls, arity: int, terms: dict) -> MultivariatePoly:
+        """Wrap terms already valid: length-arity exponents, nonzero BaseElements."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def constant(cls, arity: int, value) -> MultivariatePoly:
         return cls(arity, {(0,) * arity: value})
 
@@ -93,10 +101,10 @@ class MultivariatePoly:
                 terms[exps] = s
             else:
                 terms.pop(exps, None)
-        return MultivariatePoly(self.arity, terms)
+        return MultivariatePoly._of(self.arity, terms)
 
     def __neg__(self):
-        return MultivariatePoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultivariatePoly._of(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultivariatePoly):
@@ -122,7 +130,7 @@ class MultivariatePoly:
                     else:
                         num, den = _add(_mul(n, den), _mul(num, d)), _mul(d, den)
                 acc[e] = (num, den)
-        return MultivariatePoly(self.arity, {
+        return MultivariatePoly._of(self.arity, {
             e: BaseElement._make(num, den) for e, (num, den) in acc.items() if num
         })
 
@@ -160,7 +168,7 @@ class MultivariatePoly:
         if arity == self.arity:
             return self
         pad = (0,) * (arity - self.arity)
-        return MultivariatePoly(arity, {e + pad: c for e, c in self.terms.items()})
+        return MultivariatePoly._of(arity, {e + pad: c for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, MultivariatePoly):

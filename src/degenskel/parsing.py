@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .field import INFINITY, BaseElement
+from .flow import _check_flow_time
 from .monoval import MultivariatePoly
 
 _TOKEN = re.compile(r"(\d+)|(T\d+)|(t)|([()+\-*/^])|(\S)")
@@ -152,7 +153,10 @@ def parse_polynomial(text: str, arity: int | None = None) -> MultivariatePoly:
     if arity is None:
         indices = [int(m.group(1)) for m in _VARIABLE.finditer(text)]
         arity = max(indices, default=0)
-    return _Parser(text, arity).parse()
+    try:
+        return _Parser(text, arity).parse()
+    except RecursionError:
+        raise ValidationError("expression nested too deeply") from None
 
 
 def parse_element(text: str) -> BaseElement:
@@ -166,12 +170,8 @@ def parse_element(text: str) -> BaseElement:
 def parse_flow_time(text: str):
     """Parse a flow time: a nonnegative rational, or the token 'inf'."""
     text = text.strip()
-    if text == "inf":
-        return INFINITY
     try:
-        s = Fraction(text)
+        s = INFINITY if text == "inf" else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"invalid flow time {text!r}: {exc}") from None
-    if s < 0:
-        raise ValidationError("flow time must be nonnegative")
-    return s
+    return _check_flow_time(s)

@@ -463,6 +463,42 @@ def reference_flow_expansion(bm: BasicModel, x, f: MultivariatePoly) -> dict:
     return out
 
 
+def reference_monomial_valuations(bm: BasicModel, a1, a2, f: MultivariatePoly) -> dict:
+    """v(c_i) for the flow of f through a monomial point, in canonical field
+    arithmetic on {(p, q): BaseElement} dicts.
+
+    Reference for the normal-form path of flow_value_monomial: each term
+    d * T1^i * T2^j becomes d * t^l * x1^p * x2^q with p = i - l*N1 in
+    [0, N1), terms are summed per V-exponent k = i*M2 - j*M1 of the
+    original term, every Taylor coefficient c_i = sum_k C(k, i) a_k after
+    clearing V is formed as a dict of reduced coefficients, and v(c_i) is
+    the least v(d) + p*a1 + q*a2 over its nonzero entries.
+    """
+    t = uniformizer()
+    by_exp: dict[int, dict] = {}
+    for (i, j), coeff in f.with_arity(2).terms.items():
+        l = i // bm.n1
+        pq = (i - l * bm.n1, j - l * bm.n2)
+        a = by_exp.setdefault(i * bm.m2 - j * bm.m1, {})
+        a[pq] = a.get(pq, BaseElement(0)) + coeff * t**l
+    by_exp = {k: {pq: c for pq, c in a.items() if c} for k, a in by_exp.items()}
+    by_exp = {k: a for k, a in by_exp.items() if a}
+    if not by_exp:
+        return {}
+    shift = max(0, -min(by_exp))
+    out = {}
+    for i in range(max(by_exp) + shift + 1):
+        acc: dict[tuple[int, int], BaseElement] = {}
+        for k, a in by_exp.items():
+            if k + shift >= i:
+                for pq, c in a.items():
+                    acc[pq] = acc.get(pq, BaseElement(0)) + c * math.comb(k + shift, i)
+        acc = {pq: c for pq, c in acc.items() if c}
+        if acc:
+            out[i] = min(c.valuation() + p * a1 + q * a2 for (p, q), c in acc.items())
+    return out
+
+
 def random_interior_point(rng, model: ModelDescription, stratum=None) -> SkeletonPoint:
     s = stratum if stratum is not None else rng.choice(model.strata)
     comps = sorted(s.components)

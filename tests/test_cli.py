@@ -237,6 +237,48 @@ def test_malformed_inline_point_exits_1(capsys, point):
     assert len(err.splitlines()) == 1
 
 
+NESTED_T = "(" * 200 + "t" + ")" * 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "1", "1", "t", "1", "0", "(" * 200 + "T1" + ")" * 200],
+    ["flow", "1", "1", NESTED_T, "1", "0", "T1"],
+    ["retract", "1", "1", "1", NESTED_T],
+])
+def test_deeply_nested_expression_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: expression nested too deeply\n"
+
+
+def test_moderately_nested_expression_is_accepted(capsys):
+    nested = "(" * 40 + "T1" + ")" * 40
+    code, out, _ = run(capsys, "flow", "1", "1", "t", "1", "0", nested)
+    assert code == 0
+    assert json.loads(out)["value"] == "1"
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv in (
+        ["complex", str(deep)],
+        ["ks", fx("chain_123.json"), str(deep)],
+        ["check", fx("chain_123.json"), str(deep)],
+        ["weight", fx("chain_123.json"), fx("chain_form_flat.json"), str(deep)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"{deep}: JSON nested too deeply" in err
+        assert "Traceback" not in err
+    code, out, err = run(
+        capsys, "weight", fx("chain_123.json"), fx("chain_form_flat.json"),
+        '{"stratum": ' + "[" * 100000,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: point argument: JSON nested too deeply\n"
+
+
 def test_face_list_exits_1(tmp_path, capsys):
     path = tmp_path / "faces.json"
     path.write_text(json.dumps({

@@ -10,7 +10,6 @@ from degenskel import (
     BasicModel,
     MonomialWeights,
     MultivariatePoly,
-    TwistedElement,
     ValidationError,
     flow_expansion,
     flow_value,
@@ -19,17 +18,17 @@ from degenskel import (
     field,
     flow,
     monomial_valuation,
+    parse_flow_time,
     parse_polynomial,
     retract_point,
-    twisted_expansion,
     uniformizer,
 )
 from helpers import (
-    random_element,
     random_poly,
     random_rigid_point,
     random_unit,
     reference_flow_expansion,
+    reference_monomial_valuations,
 )
 
 S_GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5))
@@ -352,24 +351,15 @@ def test_flow_time_validation():
         flow_value(bm, x, 0.5, f)
 
 
-def test_twisted_normal_form():
-    bm = BasicModel(2, 3)
-    t = uniformizer()
-    # x1^2 * x2^3 reduces to the scalar t
-    e = TwistedElement.monomial(bm, 2, 3, 1)
-    assert e == TwistedElement(bm, {(0, 0): t})
-    # negative exponents shift the other way
-    e = TwistedElement.monomial(bm, -1, 0, 1)
-    assert e == TwistedElement(bm, {(1, 3): t.inverse()})
-
-
-def test_twisted_cancellation_is_exact():
-    # x1^N1 * x2^N2 - t is exactly zero once both terms reach normal form
-    bm = BasicModel(2, 3)
-    t = uniformizer()
-    a = TwistedElement.monomial(bm, 2, 3, 1)
-    b = TwistedElement.monomial(bm, 0, 0, -t)
-    assert not (a + b)
+def test_parse_flow_time():
+    assert parse_flow_time(" inf ") == INFINITY
+    assert parse_flow_time("7/2") == Fraction(7, 2)
+    assert parse_flow_time("0") == 0
+    with pytest.raises(ValidationError, match="flow time must be nonnegative"):
+        parse_flow_time("-1/3")
+    for text in ("abc", "1/0", "-inf"):
+        with pytest.raises(ValidationError, match="invalid flow time"):
+            parse_flow_time(text)
 
 
 def test_degenerate_presentation_detected_as_zero():
@@ -429,23 +419,68 @@ def test_monomial_point_validation():
         bm.monomial_point(Fraction(2), Fraction(-1))
 
 
-def test_twisted_expansion_coefficients_are_twisted_elements():
+def test_normal_form_examples():
     bm = BasicModel(2, 3)
+    t = uniformizer()
+    # x1^2 * x2^3 reduces to the scalar t
+    f = parse_polynomial("T1^2*T2^3", arity=2)
+    assert flow._normal_form(bm, f) == {(0, 0): t}
+    # the exponent of x2 may go negative: x1^2 = t * x2^-3
+    f = parse_polynomial("T1^2", arity=2)
+    assert flow._normal_form(bm, f) == {(0, -3): t}
+    # coefficients of one normal form are summed, t^l times d
+    f = parse_polynomial("(1/2)*T1^5*T2^7 + 3*t*T1*T2 + T1*T2^2", arity=2)
+    assert flow._normal_form(bm, f) == {(1, 1): 3 * t + t**2 / 2, (1, 2): BaseElement(1)}
+
+
+def test_normal_form_cancellation_is_exact():
+    # x1^N1 * x2^N2 - t is exactly zero once both terms reach normal form
+    bm = BasicModel(2, 3)
+    f = parse_polynomial("T1^2*T2^3 - t", arity=2)
+    assert flow._normal_form(bm, f) == {}
+    data = bm.monomial_point(Fraction(1, 4), Fraction(1, 6))
+    assert flow._monomial_valuations(bm, Fraction(1, 4), Fraction(1, 6), f) == {}
+    for s in (*S_GRID, INFINITY):
+        assert flow_value_monomial(bm, data, s, f) == INFINITY
+
+
+def test_monomial_valuations_hand_example():
+    # on (2, 3), T1 moves as V^3 and t*T2^2 as V^-4: clearing V^4 leaves
+    # x1*V^7 + t*x2^2, so c0 has both terms and c1..c7 only the first
+    bm = BasicModel(2, 3)
+    a1, a2 = Fraction(1, 2), Fraction(0)
     f = parse_polynomial("T1 + t*T2^2", arity=2)
-    expansion = twisted_expansion(bm, f)
-    assert all(isinstance(c, TwistedElement) for c in expansion.values())
-    weights = (Fraction(1, 2), Fraction(0))
-    c0 = expansion[0]
-    assert c0.valuation(*weights) == min(
-        Fraction(1, 2), 1 + 0
-    )
+    valuations = flow._monomial_valuations(bm, a1, a2, f)
+    assert valuations == {i: Fraction(1, 2) for i in range(8)}
+    assert valuations == reference_monomial_valuations(bm, a1, a2, f)
+    # T1 + T2 clears to x1*V^5 + x2: c0 alone sees x2
+    f = parse_polynomial("T1 + T2", arity=2)
+    valuations = flow._monomial_valuations(bm, a1, a2, f)
+    assert valuations == {0: 0, **{i: Fraction(1, 2) for i in range(1, 6)}}
+    assert valuations == reference_monomial_valuations(bm, a1, a2, f)
 
 
-def test_twisted_scalar_arithmetic():
-    bm = BasicModel(2, 1)
-    rng = random.Random(23)
-    d = random_element(rng)
-    u = random_unit(rng)
-    a = TwistedElement.monomial(bm, 1, 2, d)
-    assert a * 3 == TwistedElement.monomial(bm, 1, 2, d * 3)
-    assert a * u == TwistedElement.monomial(bm, 1, 2, d * u)
+def test_monomial_valuations_match_reference_sampled():
+    # f, f + (T1^N1*T2^N2 - t)*h and the identically zero (T1^N1*T2^N2 - t)*h
+    rng = random.Random(28)
+    models = ((1, 1), (2, 1), (1, 2), (2, 3), (3, 2), (2, 4), (4, 6), (3, 3))
+    for n1, n2 in models:
+        bm = BasicModel(n1, n2)
+        relation = MultivariatePoly(2, {(n1, n2): 1, (0, 0): -uniformizer()})
+        for _ in range(10):
+            lam = Fraction(rng.randint(0, 24), 24)
+            a1, a2 = lam / n1, (1 - lam) / n2
+            data = bm.monomial_point(a1, a2)
+            f = random_poly(rng, 2, max_terms=5, max_exp=2 * max(n1, n2) + 1)
+            h = random_poly(rng, 2, max_terms=3)
+            expected = reference_monomial_valuations(bm, a1, a2, f)
+            assert reference_monomial_valuations(bm, a1, a2, f + relation * h) == expected
+            assert reference_monomial_valuations(bm, a1, a2, relation * h) == {}
+            for g, valuations in ((f, expected), (f + relation * h, expected), (relation * h, {})):
+                assert flow._monomial_valuations(bm, a1, a2, g) == valuations
+                for s in (*S_GRID, INFINITY):
+                    value = min(
+                        (v if i == 0 else v + i * s for i, v in valuations.items()),
+                        default=INFINITY,
+                    )
+                    assert flow_value_monomial(bm, data, s, g) == value

@@ -150,6 +150,34 @@ def test_polynomial_parser_rejects_bad_input():
         parse_polynomial("0.5*T1")
 
 
+def test_arithmetic_builds_no_validated_polynomial(monkeypatch):
+    # sums, negations, products and padding are valid by construction and
+    # skip the constructor's checks; the constructor keeps all of them
+    rng = random.Random(72)
+    f, g = random_poly(rng, 2), random_poly(rng, 2)
+    calls = []
+    init = MultivariatePoly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultivariatePoly, "__init__", counting)
+    results = (f + g, -f, f - g, f * g, f.with_arity(3))
+    assert calls == []
+    assert results[0].terms == {
+        e: c for e in {*f.terms, *g.terms}
+        if (c := f.terms.get(e, BaseElement(0)) + g.terms.get(e, BaseElement(0)))
+    }
+    assert (-f).terms == {e: -c for e, c in f.terms.items()}
+    assert results[4].terms == {e + (0,): c for e, c in f.terms.items()}
+    with pytest.raises(ValidationError, match="exponent tuple"):
+        MultivariatePoly(2, {(1, -1): 1})
+    with pytest.raises(ValidationError, match="exponent tuple"):
+        MultivariatePoly(2, {(1,): 1})
+    assert MultivariatePoly(1, {(1,): 0}).terms == {}
+
+
 def test_evaluate_substitution():
     rng = random.Random(71)
     t = uniformizer()
