@@ -52,7 +52,7 @@ def _read_json(path: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     return _loads(text, path)
 
 
@@ -114,19 +114,24 @@ def _subcomplex_payload(sub, weights) -> dict:
 
 def _cmd_check(args) -> int:
     problems = []
-    model = None
-    try:
-        model = _load_model(args.model)
-    except ValidationError as exc:
-        problems.extend(f"{args.model}: {p}" for p in exc.problems)
-    forms = []
-    for path in args.forms:
+
+    def load(path, parse):
+        # read and JSON errors name the path already; schema errors get it here
         try:
-            form = _load_form(path)
+            data = _read_json(path)
+        except ValidationError as exc:
+            problems.extend(exc.problems)
+            return None
+        try:
+            return parse(data)
         except ValidationError as exc:
             problems.extend(f"{path}: {p}" for p in exc.problems)
-            continue
-        if model is not None:
+
+    model = load(args.model, ModelDescription.from_dict)
+    forms = []
+    for path in args.forms:
+        form = load(path, PluricanonicalForm.from_dict)
+        if form is not None and model is not None:
             try:
                 _vertex_weights(model, form)  # validated once, memoized for the audit
             except ValidationError as exc:

@@ -71,6 +71,12 @@ def _is_id_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
+def _shown(value, limit: int = 80) -> str:
+    """repr of an input value, cut to at most limit characters."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _synthesize(components: list[Component], strata: list[Stratum]) -> list[Stratum]:
     """Fill in vertex strata and unambiguous face entries.
 
@@ -279,9 +285,9 @@ class ModelDescription:
         comps = []
         for entry in data.get("components", []):
             if not isinstance(entry, dict) or "id" not in entry:
-                problems.append(f"malformed component entry {entry!r}")
+                problems.append(f"malformed component entry {_shown(entry)}")
             elif not isinstance(entry["id"], str):
-                problems.append(f"component id {entry['id']!r} is not a string")
+                problems.append(f"component id {_shown(entry['id'])} is not a string")
             else:
                 comps.append((entry["id"], entry.get("multiplicity", 1)))
         strata = []
@@ -292,9 +298,9 @@ class ModelDescription:
                 or "components" not in entry
                 or not isinstance(entry.get("faces") or {}, dict)
             ):
-                problems.append(f"malformed stratum entry {entry!r}")
+                problems.append(f"malformed stratum entry {_shown(entry)}")
             elif not isinstance(entry["id"], str):
-                problems.append(f"stratum id {entry['id']!r} is not a string")
+                problems.append(f"stratum id {_shown(entry['id'])} is not a string")
             elif not _is_id_list(entry["components"]):
                 problems.append(
                     f"stratum {entry['id']}: 'components' must be a JSON array of ids"

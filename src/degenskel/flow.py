@@ -19,15 +19,16 @@ identity end (only c_0 = f(x1, x2) survives) and s = 0 is the retraction
 end (the Gauss value of the expansion).  The reparametrization is strictly
 monotone, so every order-theoretic statement transfers.
 
-Two kinds of points are supported.  Rigid points have coordinates in the
-base field subject to x1^N1 * x2^N2 = t with nonnegative valuations; their
-expansion coefficients are concrete field elements and all cancellation is
-exact.  Monomial points on the edge carry weights (a1, a2); their
-coordinates satisfy no relation beyond x1^N1 * x2^N2 = t, so f is rewritten
-into its normal form, a sum of d * x1^p * x2^q with 0 <= p < N1, where an
-expression that is actually zero cancels exactly.  Distinct normal forms
-are independent and each moves as one power of V, so every v(c_i) is a
-minimum of v_K(d) + p*a1 + q*a2, read off without building any c_i.
+Two kinds of points are supported, and both read f by diagonal: the terms
+d * T1^(i + l*N1) * T2^(j + l*N2), l >= 0, equal (sum of d * t^l) * x1^i *
+x2^j, with (i, j) the diagonal's least term in f.  Each sum is an unreduced
+integer pair, so an expression that is actually zero cancels exactly and
+no gcd is taken.  Rigid points have coordinates in the base field with
+x1^N1 * x2^N2 = t and nonnegative valuations; their coefficients c_i are
+exact field elements, formed with one product per diagonal.  Monomial
+points on the edge carry weights (a1, a2); distinct diagonals are
+independent and each moves as one power of V, so every v(c_i) is a minimum
+of v_K(sum) + i*a1 + j*a2, read off without building any c_i.
 """
 from __future__ import annotations
 
@@ -136,10 +137,25 @@ def _check_flow_time(s):
     return s
 
 
-def _as_pair_poly(f: MultivariatePoly) -> MultivariatePoly:
+def _diagonals(bm: BasicModel, f: MultivariatePoly) -> dict[tuple[int, int], tuple]:
+    """f by flow diagonal: {(i, j): (num, den)}, with (i, j) the diagonal's
+    least term in f and num/den the unreduced sum of its d * t^l.  den is a
+    product of canonical denominators (positive constant term, so v(sum) =
+    min(num)) and no gcd is taken; diagonals whose sum cancels are dropped."""
     if f.arity > 2:
         raise ValidationError("flow evaluation needs a polynomial in T1, T2")
-    return f.with_arity(2)
+    sums: dict[tuple[int, int], tuple] = {}
+    for (i, j), d in sorted(f.with_arity(2).terms.items()):  # least term first
+        l = i // bm.n1
+        key = (i - l * bm.n1, j - l * bm.n2)
+        ij, l0, num, den = sums.get(key, ((i, j), l, {}, d._den))
+        n = _shift(d._num, l - l0)
+        if den == d._den:
+            num = _add(num, n)
+        else:
+            num, den = _add(_mul(num, d._den), _mul(n, den)), _mul(den, d._den)
+        sums[key] = (ij, l0, num, den)
+    return {ij: (num, den) for ij, _, num, den in sums.values() if num}
 
 
 def _taylor_at_one(by_exp: Mapping[int, dict]) -> dict[int, dict]:
@@ -190,33 +206,26 @@ def _powers(num: dict, den: dict, top: int) -> list[dict]:
 def _rigid_numerators(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
     """Integer numerators P_i of the Taylor coefficients c_i = P_i / D, and D.
 
-    Every term d * x1^i * x2^j of f(x1 * V^M2, x2 * V^-M1) is brought over
-    D = den(x1)^I * den(x2)^J * (product of the distinct denominators of
-    f's coefficients), with I and J the top exponents of T1 and T2, working
-    on the stored integer pairs.  Nothing is reduced, so no gcd is taken; D
-    has a nonzero constant term, so v(c_i) is the lowest exponent of P_i.
+    Each diagonal (num/den) * x1^i * x2^j of f(x1 * V^M2, x2 * V^-M1) is
+    brought over D = den(x1)^I * den(x2)^J * (product of the distinct diagonal
+    denominators), with I and J the top representative exponents.  A rigid
+    point has c = 1 (c divides N1*v(x1) + N2*v(x2) = 1), so distinct
+    diagonals have distinct V-degrees.  Nothing is reduced, so no gcd is
+    taken; D has a nonzero constant term, so v(c_i) is the lowest exponent
+    of P_i.
     """
-    f = _as_pair_poly(f)
-    terms = [(ij, c._num, c._den) for ij, c in f.terms.items()]
-    dens = {tuple(sorted(d.items())): d for _, _, d in terms}
+    diagonals = _diagonals(bm, f)
+    dens = {tuple(sorted(d.items())): d for _, d in diagonals.values()}
     cofactor = {
         key: reduce(_mul, (d for other, d in dens.items() if other != key), {0: 1})
         for key in dens
     }
-    top_i = max((i for i, _ in f.terms), default=0)
-    top_j = max((j for _, j in f.terms), default=0)
-    pow1 = _powers(x.x1._num, x.x1._den, top_i)
-    pow2 = _powers(x.x2._num, x.x2._den, top_j)
-    by_exp: dict[int, dict] = {}
-    for (i, j), n, d in terms:
-        k = i * bm.m2 - j * bm.m1
+    pow1 = _powers(x.x1._num, x.x1._den, max((i for i, _ in diagonals), default=0))
+    pow2 = _powers(x.x2._num, x.x2._den, max((j for _, j in diagonals), default=0))
+    by_exp = {}
+    for (i, j), (n, d) in diagonals.items():
         lift = _mul(n, cofactor[tuple(sorted(d.items()))])
-        term = _mul(_mul(pow1[i], pow2[j]), lift)
-        acc = _add(by_exp.get(k, {}), term)
-        if acc:
-            by_exp[k] = acc
-        else:
-            by_exp.pop(k, None)
+        by_exp[i * bm.m2 - j * bm.m1] = _mul(_mul(pow1[i], pow2[j]), lift)
     den = reduce(_mul, dens.values(), _mul(pow1[0], pow2[0]))
     return _taylor_at_one(by_exp), den
 
@@ -268,34 +277,20 @@ def retract_point(bm: BasicModel, x: RigidPoint) -> MonomialPointData:
 # -- monomial points ----------------------------------------------------------
 
 
-def _normal_form(bm: BasicModel, f: MultivariatePoly) -> dict[tuple[int, int], BaseElement]:
-    """f as a sum of d * x1^p * x2^q with 0 <= p < N1, where x1^N1 * x2^N2 = t.
-
-    d * T1^i * T2^j becomes d * t^l * x1^(i - l*N1) * x2^(j - l*N2) with
-    l = i // N1.  Sums of one normal form cancel exactly; zeros are dropped.
-    """
-    sums: dict[tuple[int, int], BaseElement] = {}
-    for (i, j), d in _as_pair_poly(f).terms.items():
-        l = i // bm.n1
-        pq = (i - l * bm.n1, j - l * bm.n2)
-        d = BaseElement._of(_shift(d._num, l), d._den)  # t^l * d stays canonical
-        sums[pq] = sums[pq] + d if pq in sums else d
-    return {pq: d for pq, d in sums.items() if d}
-
-
 def _monomial_valuations(bm: BasicModel, a1, a2, f: MultivariatePoly):
     """v(c_i) for the Taylor coefficients c_i of the flow of f through the
     monomial point with edge weights (a1, a2).
 
-    x1^p * x2^q moves as V^k, k = p*M2 - q*M1 (the relation has V-degree
-    N1*M2 - N2*M1 = 0); after clearing V by V^shift, c_i is the sum of
-    C(k + shift, i) * d * x1^p * x2^q over the normal forms with
-    k + shift >= i.  Binomials are positive integers and distinct normal
-    forms are independent over K: v(c_i) = min v(d) + p*a1 + q*a2 over them.
+    A diagonal (num/den) * x1^i * x2^j moves as V^k, k = i*M2 - j*M1 (the
+    relation has V-degree N1*M2 - N2*M1 = 0); after clearing V by V^shift,
+    c_i sums C(k + shift, i) times the diagonals with k + shift >= i.
+    Binomials are positive integers and distinct diagonals are independent
+    over K: v(c_i) = min v(num) + i*a1 + j*a2 over them, the same for any
+    representative since N1*a1 + N2*a2 = 1.
     """
     terms = [
-        (p * bm.m2 - q * bm.m1, d.valuation() + p * a1 + q * a2)
-        for (p, q), d in _normal_form(bm, f).items()
+        (i * bm.m2 - j * bm.m1, min(num) + i * a1 + j * a2)
+        for (i, j), (num, _) in _diagonals(bm, f).items()
     ]
     if not terms:
         return {}
@@ -310,7 +305,7 @@ def flow_value_monomial(bm: BasicModel, data: MonomialPointData, s, f: Multivari
     Skeleton points are fixed by the flow: the value is independent of the
     flow time and agrees with the monomial valuation of f at the weights.
     That property is asserted by the test suite, not assumed here: every
-    Taylor coefficient's valuation is read off the normal form of f.
+    Taylor coefficient's valuation is read off the diagonals of f.
     """
     s = _check_flow_time(s)
     a1, a2 = bm._edge_weights(data)

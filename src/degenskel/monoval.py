@@ -8,8 +8,8 @@ field K = Q(t):
 
 with v(0) = +infinity.  When the weights come from a normal crossings model
 (each T_i cutting out a component of multiplicity N_i), the normalization
-sum(alpha_i * N_i) = 1 makes v extend the t-adic valuation of K; the tuple of
-multiplicities can be attached to the weights to enforce that constraint.
+sum(alpha_i * N_i) = 1 makes v extend the t-adic valuation of K; the model
+code that fixes N enforces it.
 
 The variables are treated as algebraically independent: v is evaluated on
 the polynomial as presented.  Quotient-ring arithmetic, where products of
@@ -194,14 +194,10 @@ class MultivariatePoly:
 
 @dataclass(frozen=True)
 class MonomialWeights:
-    """Weight tuple alpha, optionally tied to component multiplicities N.
-
-    Invariants: every alpha_i is a nonnegative rational; when multiplicities
-    are attached, sum(alpha_i * N_i) = 1 (the model-normalized case).
-    """
+    """Weight tuple alpha of nonnegative rationals; where a model fixes N,
+    BasicModel.monomial_point and monomial_to_barycentric enforce sum(alpha*N) = 1."""
 
     alpha: tuple[Fraction, ...]
-    multiplicities: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if any(isinstance(a, float) for a in self.alpha):
@@ -210,18 +206,6 @@ class MonomialWeights:
         object.__setattr__(self, "alpha", alpha)
         if any(a < 0 for a in alpha):
             raise ValidationError("weights must be nonnegative")
-        if self.multiplicities is not None:
-            mult = tuple(self.multiplicities)
-            object.__setattr__(self, "multiplicities", mult)
-            if len(mult) != len(alpha):
-                raise ValidationError("one multiplicity per weight is required")
-            if any(not isinstance(n, int) or n < 1 for n in mult):
-                raise ValidationError("multiplicities must be positive integers")
-            total = sum(a * n for a, n in zip(alpha, mult))
-            if total != 1:
-                raise ValidationError(
-                    f"normalized weights must satisfy sum(alpha*N) = 1, got {total}"
-                )
 
     @property
     def arity(self) -> int:

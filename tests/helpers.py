@@ -467,7 +467,7 @@ def reference_monomial_valuations(bm: BasicModel, a1, a2, f: MultivariatePoly) -
     """v(c_i) for the flow of f through a monomial point, in canonical field
     arithmetic on {(p, q): BaseElement} dicts.
 
-    Reference for the normal-form path of flow_value_monomial: each term
+    Reference for the diagonal path of flow_value_monomial: each term
     d * T1^i * T2^j becomes d * t^l * x1^p * x2^q with p = i - l*N1 in
     [0, N1), terms are summed per V-exponent k = i*M2 - j*M1 of the
     original term, every Taylor coefficient c_i = sum_k C(k, i) a_k after

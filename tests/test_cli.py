@@ -423,6 +423,32 @@ def test_missing_file_exits_1(capsys):
     assert "cannot read" in err
 
 
+def test_check_names_each_bad_path_once(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: malformed JSON: ")
+    assert err.count(str(bad)) == 1
+    # unreadable model and form files, with a schema problem in a third file
+    missing = str(tmp_path / "missing.json")
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps(dict(PAIR_FORM, m=True)))
+    code, out, err = run(capsys, "check", missing, missing, str(mistyped))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: cannot read {missing}: No such file or directory",
+        f"error: cannot read {missing}: No such file or directory",
+        f"error: {mistyped}: pluricanonical level m must be a positive integer",
+    ]
+    code, out, err = run(capsys, "check", fx("chain_123.json"), missing, str(bad))
+    assert code == 1 and out == ""
+    first, second = err.splitlines()
+    assert first == f"error: cannot read {missing}: No such file or directory"
+    assert second.startswith(f"error: {bad}: malformed JSON: ")
+    assert second.count(str(bad)) == 1
+
+
 def test_output_to_file(tmp_path, capsys):
     out_path = tmp_path / "ks.json"
     code, out, _ = run(

@@ -239,3 +239,28 @@ def test_skeleton_point_validation():
         SkeletonPoint("C12", {"E1": Fraction(3, 2), "E2": Fraction(-1, 2)})
     with pytest.raises(ValidationError, match="floats"):
         SkeletonPoint("C12", {"E1": 0.5, "E2": 0.5})
+
+
+def test_malformed_entry_text_is_bounded():
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    shown = repr(deep)[:77] + "..."
+    cases = [
+        ({"components": [deep]}, f"malformed component entry {shown}"),
+        ({"components": [{"id": deep}]}, f"component id {shown} is not a string"),
+        ({"components": [{"id": "A"}], "strata": [deep]}, f"malformed stratum entry {shown}"),
+        (
+            {"components": [{"id": "A"}], "strata": [{"id": deep, "components": ["A"]}]},
+            f"stratum id {shown} is not a string",
+        ),
+    ]
+    for data, message in cases:
+        with pytest.raises(ValidationError) as exc:
+            ModelDescription.from_dict(data)
+        assert exc.value.problems == [message]
+    # an entry that fits is shown whole
+    entry = {"id": "AB", "components": ["A", "B"], "faces": ["A"]}
+    with pytest.raises(ValidationError) as exc:
+        ModelDescription.from_dict({"components": [{"id": "A"}], "strata": [entry]})
+    assert exc.value.problems == [f"malformed stratum entry {entry!r}"]

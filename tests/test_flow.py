@@ -419,29 +419,92 @@ def test_monomial_point_validation():
         bm.monomial_point(Fraction(2), Fraction(-1))
 
 
-def test_normal_form_examples():
+def diagonal_sums(bm, f):
+    """flow._diagonals with each unreduced sum compared in canonical form."""
+    return {ij: BaseElement._make(num, den) for ij, (num, den) in flow._diagonals(bm, f).items()}
+
+
+def test_diagonals_examples():
     bm = BasicModel(2, 3)
     t = uniformizer()
-    # x1^2 * x2^3 reduces to the scalar t
-    f = parse_polynomial("T1^2*T2^3", arity=2)
-    assert flow._normal_form(bm, f) == {(0, 0): t}
-    # the exponent of x2 may go negative: x1^2 = t * x2^-3
-    f = parse_polynomial("T1^2", arity=2)
-    assert flow._normal_form(bm, f) == {(0, -3): t}
-    # coefficients of one normal form are summed, t^l times d
+    # T1^5*T2^7 = t^2 * T1*T2 on the diagonal of T1*T2; T1*T2^2 is alone
     f = parse_polynomial("(1/2)*T1^5*T2^7 + 3*t*T1*T2 + T1*T2^2", arity=2)
-    assert flow._normal_form(bm, f) == {(1, 1): 3 * t + t**2 / 2, (1, 2): BaseElement(1)}
+    assert diagonal_sums(bm, f) == {(1, 1): 3 * t + t**2 / 2, (1, 2): BaseElement(1)}
+    # the representative is the least term of f on its diagonal
+    f = parse_polynomial("T1^2*T2^3", arity=2)
+    assert diagonal_sums(bm, f) == {(2, 3): BaseElement(1)}
+    f = parse_polynomial("T1^5*T2^6 + T1^3*T2^3", arity=2)
+    assert diagonal_sums(bm, f) == {(3, 3): 1 + t}
+    # unequal denominators on one diagonal are cross-multiplied
+    f = MultivariatePoly(2, {(0, 1): 1 / (1 + t), (4, 7): 1 / (2 - t)})
+    assert diagonal_sums(bm, f) == {(0, 1): 1 / (1 + t) + t**2 / (2 - t)}
 
 
-def test_normal_form_cancellation_is_exact():
-    # x1^N1 * x2^N2 - t is exactly zero once both terms reach normal form
+def test_diagonals_cancellation_is_exact():
+    # x1^N1 * x2^N2 - t is exactly zero on one diagonal
     bm = BasicModel(2, 3)
     f = parse_polynomial("T1^2*T2^3 - t", arity=2)
-    assert flow._normal_form(bm, f) == {}
+    assert flow._diagonals(bm, f) == {}
     data = bm.monomial_point(Fraction(1, 4), Fraction(1, 6))
     assert flow._monomial_valuations(bm, Fraction(1, 4), Fraction(1, 6), f) == {}
     for s in (*S_GRID, INFINITY):
         assert flow_value_monomial(bm, data, s, f) == INFINITY
+
+
+def test_flow_value_monomial_needs_no_gcd(monkeypatch):
+    # polynomial-denominator coefficients, several terms per diagonal
+    rng = random.Random(29)
+    cases = []
+    for n1, n2 in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 2)):
+        bm = BasicModel(n1, n2)
+        for _ in range(4):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randint(0, 2), rng.randint(0, 2)
+                for l in range(rng.randint(2, 3)):
+                    terms[(i + l * n1, j + l * n2)] = random_unit(rng)
+            f = MultivariatePoly(2, terms)
+            lam = Fraction(rng.randint(0, 12), 12)
+            a1, a2 = lam / n1, (1 - lam) / n2
+            valuations = reference_monomial_valuations(bm, a1, a2, f)
+            values = [
+                min((v if i == 0 else v + i * s for i, v in valuations.items()), default=INFINITY)
+                for s in (*S_GRID, INFINITY)
+            ]
+            cases.append((bm, a1, a2, f, values))
+
+    def no_gcd(a, b):
+        raise AssertionError("gcd taken on the flow path")
+
+    monkeypatch.setattr(field, "_gcd_dense", no_gcd)
+    for bm, a1, a2, f, values in cases:
+        data = bm.monomial_point(a1, a2)
+        assert [flow_value_monomial(bm, data, s, f) for s in (*S_GRID, INFINITY)] == values
+    # the canonical-arithmetic path does reduce on these inputs
+    with pytest.raises(AssertionError, match="gcd taken"):
+        for bm, a1, a2, f, _ in cases:
+            reference_monomial_valuations(bm, a1, a2, f)
+
+
+def test_flow_expansion_of_powers_matches_reference_sampled():
+    # (a*T1 + b*T2 + c*t)^n puts several terms with mixed denominators on
+    # one diagonal
+    rng = random.Random(30)
+    t = uniformizer()
+    for n1, n2 in ((1, 1), (2, 1), (1, 2), (1, 3)):
+        bm = BasicModel(n1, n2)
+        for _ in range(4):
+            a, b, c = (
+                rng.choice((-2, -1, 1, 3)) / (rng.randint(1, 3) + rng.choice((-1, 1)) * t)
+                for _ in range(3)
+            )
+            base = MultivariatePoly(2, {(1, 0): a, (0, 1): b, (0, 0): c * t})
+            u = (rng.randint(1, 3) + t) / (rng.randint(1, 3) - t)
+            if n1 == 1:
+                x = bm.rigid_point(t * u**n2, u**-n1)
+            else:
+                x = bm.rigid_point(u**n2, t * u**-n1)
+            assert_matches_reference(bm, x, base ** rng.randint(2, 5))
 
 
 def test_monomial_valuations_hand_example():

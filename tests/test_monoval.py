@@ -7,6 +7,7 @@ from degenskel import (
     INFINITY,
     field,
     BaseElement,
+    BasicModel,
     MonomialWeights,
     MultivariatePoly,
     ValidationError,
@@ -47,7 +48,8 @@ def test_eval_normalized_weights_give_uniformizer_value_one():
         ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 12)), (1, 1, 3)),
     ]
     for alpha, mults in cases:
-        w = MonomialWeights(alpha, mults)
+        assert sum(a * n for a, n in zip(alpha, mults)) == 1
+        w = MonomialWeights(alpha)
         f = MultivariatePoly.monomial(len(mults), mults, 1)
         assert monomial_valuation(w, f) == 1
 
@@ -72,9 +74,10 @@ def test_all_zero_weights():
 
 
 def test_normalization_invariant_enforced():
-    with pytest.raises(ValidationError):
-        MonomialWeights((Fraction(1, 2), Fraction(1, 2)), (1, 3))
-    with pytest.raises(ValidationError):
+    # sum(alpha*N) = 1 is checked where a model fixes N
+    with pytest.raises(ValidationError, match="a1\\*1 \\+ a2\\*3 = 1"):
+        BasicModel(1, 3).monomial_point(Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValidationError, match="nonnegative"):
         MonomialWeights((Fraction(-1, 2), Fraction(1)))
 
 
