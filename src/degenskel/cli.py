@@ -50,9 +50,11 @@ def _loads(text: str, source: str):
 
 def _read_json(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     return _loads(text, path)
 
 

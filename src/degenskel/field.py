@@ -13,6 +13,12 @@ joint integer content 1.  Rationals enter only in the constructor, which
 clears their denominators once, and leave only in rendering, so all
 arithmetic runs on Python ints.
 
+Reduction takes one heuristic gcd: the integer gcd of both sides at a
+large x, read back as a polynomial off its base-x digits, with both
+cofactors read the same way.  A read-out is kept only if it gives both
+sides back exactly, and x grows until it does.  No fallback is needed:
+past a bound set by the resultant of the cofactors every read-out is exact.
+
 Absolute values are handled additively throughout the package: instead of
 |x| = exp(-v(x)) we compute with v(x) itself, so comparisons and min/max of
 absolute values become comparisons of rationals.  The only non-rational
@@ -94,67 +100,58 @@ def _power(p: Coeffs, n: int) -> Coeffs:
     return out
 
 
-# -- dense integer helpers for gcd reduction (exponents >= 0, trimmed lists) --
+# -- heuristic gcd over the integers (exponents >= 0) ------------------------
 
 
-def _dense(p: dict[int, int]) -> list[int]:
-    out = [0] * (max(p) + 1)
-    for e, c in p.items():
-        out[e] = c
+def _eval(p: Coeffs, x: int) -> int:
+    """p(x) by Horner's rule."""
+    v = 0
+    for e in range(max(p), -1, -1):
+        v = v * x + p.get(e, 0)
+    return v
+
+
+def _digits(v: int, x: int) -> Coeffs:
+    """The balanced base-x digits of v, each in (-x/2, x/2], as a polynomial."""
+    out: Coeffs = {}
+    h, e = (x - 1) // 2, 0
+    while v:
+        v, d = divmod(v + h, x)
+        if d != h:
+            out[e] = d - h
+        e += 1
     return out
 
 
-def _sparse(xs: list[int]) -> dict[int, int]:
-    return {e: c for e, c in enumerate(xs) if c}
+def _poly_gcd(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
+    """(g, a/g, b/g), g the primitive gcd, by heuristic gcd (Char, Geddes &
+    Gonnet, J. Symbolic Comput. 7, 1989).
 
+    g is the primitive part of the balanced base-x digits of h = gcd(a(x),
+    b(x)); h > 0, so g has a positive leading coefficient.  The cofactors
+    are the digits of a(x)/g(x) and b(x)/g(x).  g is accepted when it times
+    the cofactors gives a and b exactly; as x >= 2*min(|a|, |b|) + 2 (|.|
+    the largest coefficient), it is then the gcd.
 
-def _content_free(ints: list[int]) -> list[int]:
-    g = math.gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
-
-
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over the integers."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        a = [c * lb for c in a]
-        shift = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[shift + i] -= la * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _gcd_dense(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd via a primitive pseudo-remainder sequence over the integers."""
-    first, second = _content_free(a), _content_free(b)
-    if len(second) > len(first):
-        first, second = second, first
-    while second:
-        r = _prem(first, second)
-        first, second = second, _content_free(r)
-    return first
-
-
-def _div_exact(a: list[int], g: list[int]) -> list[int]:
-    """Integer long division by a primitive divisor of a over Q, exact by
-    Gauss's lemma; an inexact step would leave a residue in a."""
-    a = list(a)
-    lg, n = g[-1], len(g)
-    q = [0] * (len(a) - n + 1)
-    for k in range(len(a) - n, -1, -1):
-        c = a[k + n - 1] // lg
-        if c:
-            q[k] = c
-            for i, gc in enumerate(g):
-                a[k + i] -= c * gc
-    if any(a):
-        raise ArithmeticError("inexact polynomial division during reduction")
-    return q
+    No try limit or fallback is needed.  Write a = G*A, b = G*B with G the
+    gcd; U*A + V*B = R = Res(A, B) != 0 for some U, V in Z[t], so
+    gcd(a(x), b(x)) = |G(x)| * h' with h' dividing R.  Once x exceeds
+    2*|R|*|G| and twice |A| and |B|, every read-out is exact and the loop
+    returns G; x grows geometrically, so it gets there.
+    """
+    x = 2 * max(map(abs, (*a.values(), *b.values()))) + 2
+    while True:
+        ax, bx = _eval(a, x), _eval(b, x)
+        g = _digits(math.gcd(ax, bx), x)
+        content = math.gcd(*g.values())
+        g = {e: c // content for e, c in g.items()}
+        if g == {0: 1}:
+            return g, a, b
+        gx = _eval(g, x)
+        ca, cb = _digits(ax // gx, x), _digits(bx // gx, x)
+        if _mul(g, ca) == a and _mul(g, cb) == b:
+            return g, ca, cb
+        x = x * 73794 // 27011 + 1
 
 
 def _canonical(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -176,10 +173,7 @@ def _canonical(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     den0 = _shift(den, -low_d)
     if len(num0) > 1 and len(den0) > 1:
         # a one-term side is c*t^k, whose t-power is already shifted out
-        g = _gcd_dense(_dense(num0), _dense(den0))
-        if len(g) > 1:
-            num0 = _sparse(_div_exact(_dense(num0), g))
-            den0 = _sparse(_div_exact(_dense(den0), g))
+        _, num0, den0 = _poly_gcd(num0, den0)
     g = math.gcd(*num0.values(), *den0.values())
     if den0[0] < 0:
         g = -g

@@ -230,26 +230,26 @@ def _rigid_numerators(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
     return _taylor_at_one(by_exp), den
 
 
-def _expanded(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
-    """_rigid_numerators(bm, x, f), memoized on the immutable point for an
-    equal model and that same polynomial object; only the last is kept."""
-    cached = x.__dict__.get("_expansion")
+def _expanded(bm: BasicModel, point, f: MultivariatePoly, build):
+    """build(bm, point, f), memoized on the immutable point for an equal
+    model and that same polynomial object; only the last is kept."""
+    cached = point.__dict__.get("_flow_memo")
     if cached is None or cached[0] != bm or cached[1] is not f:
-        cached = (bm, f, _rigid_numerators(bm, x, f))
-        object.__setattr__(x, "_expansion", cached)
+        cached = (bm, f, build(bm, point, f))
+        object.__setattr__(point, "_flow_memo", cached)
     return cached[2]
 
 
 def flow_valuations(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
     """v(c_i) for the nonzero Taylor coefficients c_i of the flow of f
     through a rigid point, computed without reducing any c_i."""
-    numerators, _ = _expanded(bm, x, f)
+    numerators, _ = _expanded(bm, x, f, _rigid_numerators)
     return {i: min(p) for i, p in numerators.items()}
 
 
 def flow_expansion(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
     """Nonzero Taylor coefficients c_i of the flow of f through a rigid point."""
-    numerators, den = _expanded(bm, x, f)
+    numerators, den = _expanded(bm, x, f, _rigid_numerators)
     return {i: BaseElement._make(p, den) for i, p in numerators.items()}
 
 
@@ -277,9 +277,9 @@ def retract_point(bm: BasicModel, x: RigidPoint) -> MonomialPointData:
 # -- monomial points ----------------------------------------------------------
 
 
-def _monomial_valuations(bm: BasicModel, a1, a2, f: MultivariatePoly):
+def _monomial_valuations(bm: BasicModel, data: MonomialPointData, f: MultivariatePoly):
     """v(c_i) for the Taylor coefficients c_i of the flow of f through the
-    monomial point with edge weights (a1, a2).
+    monomial point data, with edge weights (a1, a2).
 
     A diagonal (num/den) * x1^i * x2^j moves as V^k, k = i*M2 - j*M1 (the
     relation has V-degree N1*M2 - N2*M1 = 0); after clearing V by V^shift,
@@ -288,6 +288,7 @@ def _monomial_valuations(bm: BasicModel, a1, a2, f: MultivariatePoly):
     over K: v(c_i) = min v(num) + i*a1 + j*a2 over them, the same for any
     representative since N1*a1 + N2*a2 = 1.
     """
+    a1, a2 = bm._edge_weights(data)
     terms = [
         (i * bm.m2 - j * bm.m1, min(num) + i * a1 + j * a2)
         for (i, j), (num, _) in _diagonals(bm, f).items()
@@ -305,8 +306,9 @@ def flow_value_monomial(bm: BasicModel, data: MonomialPointData, s, f: Multivari
     Skeleton points are fixed by the flow: the value is independent of the
     flow time and agrees with the monomial valuation of f at the weights.
     That property is asserted by the test suite, not assumed here: every
-    Taylor coefficient's valuation is read off the diagonals of f.
+    Taylor coefficient's valuation is read off the diagonals of f, in a
+    table memoized on the point as the rigid expansion is.
     """
     s = _check_flow_time(s)
-    a1, a2 = bm._edge_weights(data)
-    return min_term_value(_monomial_valuations(bm, a1, a2, f), s)
+    bm._edge_weights(data)
+    return min_term_value(_expanded(bm, data, f, _monomial_valuations), s)

@@ -26,16 +26,7 @@ from degenskel import (
     weight_at,
 )
 from degenskel.dualcomplex import _check_keys, _resolve_zeros
-from degenskel.field import (
-    _add,
-    _dense,
-    _div_exact,
-    _gcd_dense,
-    _mul,
-    _scale,
-    _shift,
-    _sparse,
-)
+from degenskel.field import _add, _mul, _scale, _shift
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -83,8 +74,92 @@ def random_element(rng, allow_zero=False) -> BaseElement:
 # The Fraction-based BaseElement that the integer canonical form replaced:
 # Fraction coefficients, a denominator with constant term 1, and every
 # reduction scaled to integers and back.  Kept as a slow, independent
-# reference for the seeded comparisons; the integer gcd helpers it calls
-# are shared with the library.
+# reference for the seeded comparisons.  Its gcd is the primitive
+# pseudo-remainder sequence (PRS) over the integers on dense coefficient
+# lists (exponents >= 0, trimmed), which the library's heuristic gcd
+# replaced.
+
+
+def _dense(p: dict[int, int]) -> list[int]:
+    out = [0] * (max(p) + 1)
+    for e, c in p.items():
+        out[e] = c
+    return out
+
+
+def _sparse(xs: list[int]) -> dict[int, int]:
+    return {e: c for e, c in enumerate(xs) if c}
+
+
+def _content_free(ints: list[int]) -> list[int]:
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of a by b over the integers."""
+    a = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while a and len(a) - 1 >= db:
+        la = a[-1]
+        a = [c * lb for c in a]
+        shift = len(a) - 1 - db
+        for i, bc in enumerate(b):
+            a[shift + i] -= la * bc
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _gcd_dense(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd via a primitive pseudo-remainder sequence over the integers."""
+    first, second = _content_free(a), _content_free(b)
+    if len(second) > len(first):
+        first, second = second, first
+    while second:
+        r = _prem(first, second)
+        first, second = second, _content_free(r)
+    return first
+
+
+def _div_exact(a: list[int], g: list[int]) -> list[int]:
+    """Integer long division by a primitive divisor of a over Q, exact by
+    Gauss's lemma; an inexact step would leave a residue in a."""
+    a = list(a)
+    lg, n = g[-1], len(g)
+    q = [0] * (len(a) - n + 1)
+    for k in range(len(a) - n, -1, -1):
+        c = a[k + n - 1] // lg
+        if c:
+            q[k] = c
+            for i, gc in enumerate(g):
+                a[k + i] -= c * gc
+    if any(a):
+        raise ArithmeticError("inexact polynomial division during reduction")
+    return q
+
+
+def prs_canonical(num: dict, den: dict) -> tuple[dict, dict]:
+    """The canonical integer pair of num/den by the PRS gcd: denominator
+    with positive constant term, coprime to the Laurent numerator, joint
+    content 1."""
+    if not num:
+        return {}, {0: 1}
+    low_n, low_d = min(num), min(den)
+    num0 = _shift(num, -low_n)
+    den0 = _shift(den, -low_d)
+    if len(num0) > 1 and len(den0) > 1:
+        g = _gcd_dense(_dense(num0), _dense(den0))
+        if len(g) > 1:
+            num0 = _sparse(_div_exact(_dense(num0), g))
+            den0 = _sparse(_div_exact(_dense(den0), g))
+    g = math.gcd(*num0.values(), *den0.values())
+    if den0[0] < 0:
+        g = -g
+    num0 = {e: c // g for e, c in num0.items()}
+    den0 = {e: c // g for e, c in den0.items()}
+    return _shift(num0, low_n - low_d), den0
 
 
 def _reference_as_coeffs(value) -> dict:
@@ -115,23 +190,9 @@ def _reference_integral(num: dict, den: dict) -> tuple[dict, dict]:
 def _reference_canonical(num: dict, den: dict) -> tuple[dict, dict]:
     if not den:
         raise ZeroDivisionError("denominator is zero")
-    if not num:
-        return {}, {0: Fraction(1)}
-    low_n, low_d = min(num), min(den)
-    num0 = _shift(num, -low_n)
-    den0 = _shift(den, -low_d)
-    if len(num0) > 1 and len(den0) > 1:
-        num0, den0 = _reference_integral(num0, den0)
-        g = _gcd_dense(_dense(num0), _dense(den0))
-        if len(g) > 1:
-            num0 = _sparse(_div_exact(_dense(num0), g))
-            den0 = _sparse(_div_exact(_dense(den0), g))
-    c = den0[0]
-    if c != 1:
-        inv = Fraction(1) / c
-        num0 = _scale(num0, inv)
-        den0 = _scale(den0, inv)
-    return _shift(num0, low_n - low_d), den0
+    num0, den0 = prs_canonical(*_reference_integral(num, den))
+    inv = Fraction(1, den0[0])
+    return _scale(num0, inv), _scale(den0, inv)
 
 
 class ReferenceElement:

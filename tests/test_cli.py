@@ -173,7 +173,7 @@ def test_flow_command_needs_no_gcd(capsys, monkeypatch):
     def no_gcd(a, b):
         raise AssertionError("gcd taken on the flow path")
 
-    monkeypatch.setattr(field, "_gcd_dense", no_gcd)
+    monkeypatch.setattr(field, "_poly_gcd", no_gcd)
     code, out, _ = run(
         capsys, "flow", "1", "1", "t/(1+t)", "1+t", "1/2", "T1/(1+t) + T2"
     )
@@ -462,3 +462,26 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["strata"] == ["E3"]
+
+
+def test_non_utf8_file_exits_1(tmp_path, capsys):
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    line = f"error: {binary}: not UTF-8 (invalid start byte at byte 0)"
+    code, out, err = run(capsys, "complex", str(binary))
+    assert (code, out, err) == (1, "", line + "\n")
+    # check names the path once and still lists the other files' problems
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps(dict(PAIR_FORM, m=True)))
+    code, out, err = run(capsys, "check", fx("chain_123.json"), str(binary), str(mistyped))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        line,
+        f"error: {mistyped}: pluricanonical level m must be a positive integer",
+    ]
+    assert err.count(str(binary)) == 1
+    # a point file given to weight
+    code, out, err = run(
+        capsys, "weight", fx("chain_123.json"), fx("chain_form_flat.json"), str(binary)
+    )
+    assert (code, out, err) == (1, "", line + "\n")

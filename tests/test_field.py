@@ -10,10 +10,12 @@ from degenskel import (
     parse_element,
     uniformizer,
 )
+from degenskel.field import _canonical, _digits, _eval, _mul, _poly_gcd, _shift
 from helpers import (
     ReferenceElement,
     assert_canonical,
     assert_matches_reference,
+    prs_canonical,
     random_element,
     random_element_data,
     random_expression,
@@ -218,3 +220,64 @@ def test_inverse_examples():
     neg = -a
     assert (neg._num, neg._den) == ({-2: 3, 0: -1}, {0: 2, 1: 1})
     assert_canonical(neg)
+
+
+# pairs on which the first evaluation point x = 8 reads off a wrong gcd
+FIRST_X_MISLEADS = [
+    ({0: -3, 1: 3}, {0: 1, 1: 3, 2: 3}),
+    ({0: 1, 1: -2, 2: -3}, {0: 3, 1: 2, 2: -2, 3: -1}),
+]
+
+
+def test_first_evaluation_point_can_mislead():
+    # a = 3t - 3 and b = 1 + 3t + 3t^2 are coprime; at x = 2*3 + 2 = 8,
+    # a(8) = 21 and b(8) = 217 share 7, whose balanced digits read t - 1,
+    # and b's cofactor 31 reads 4t - 1, which does not give b back
+    a, b = FIRST_X_MISLEADS[0]
+    assert (_eval(a, 8), _eval(b, 8)) == (21, 217)
+    assert _digits(7, 8) == {0: -1, 1: 1} and _digits(31, 8) == {0: -1, 1: 4}
+    assert _mul({0: -1, 1: 1}, {0: -1, 1: 4}) != b
+    assert _poly_gcd(a, b) == ({0: 1}, a, b)
+    # a = (1 + t)(1 - 3t) and b = (1 + t)(3 - t - t^2): 207 = gcd(-207, -621)
+    # reads (1 + t)(3t - 1), a factor of a but not of b
+    a, b = FIRST_X_MISLEADS[1]
+    assert (_eval(a, 8), _eval(b, 8)) == (-207, -621)
+    assert _digits(207, 8) == {0: -1, 1: 2, 2: 3}
+    assert _mul({0: -1, 1: 2, 2: 3}, _digits(-207 // 207, 8)) == a
+    assert _mul({0: -1, 1: 2, 2: 3}, _digits(-621 // 207, 8)) != b
+    assert _poly_gcd(a, b) == ({0: 1, 1: 1}, {0: 1, 1: -3}, {0: 3, 1: -1, 2: -1})
+
+
+def _random_int_poly(rng, deg: int, bound: int) -> dict:
+    """Degree deg, nonzero constant term, coefficients in [-bound, bound]."""
+    p = {e: rng.randint(-bound, bound) for e in range(deg + 1) if rng.random() < 0.7}
+    p[0] = p.get(0) or rng.choice((-1, 1)) * rng.randint(1, bound)
+    p[deg] = p.get(deg) or rng.choice((-1, 1)) * rng.randint(1, bound)
+    return {e: c for e, c in p.items() if c}
+
+
+def test_canonical_matches_prs_reference_sampled():
+    # the heuristic gcd against the primitive PRS: coprime pairs and pairs
+    # sharing a factor, coefficients up to 10^12, degrees 0..30 and Laurent
+    # shifts, and the pairs on which the first evaluation point misleads
+    rng = random.Random(909)
+    pairs = list(FIRST_X_MISLEADS)
+    for _ in range(2000):
+        bound = 10 ** rng.choice((1, 3, 6, 12))
+        g = {0: 1}
+        if rng.random() < 0.5:
+            g = _random_int_poly(rng, rng.randint(1, 10), bound)
+        num, den = (
+            _shift(
+                _mul(g, _random_int_poly(rng, rng.randint(0, 30 - max(g)), bound)),
+                rng.randint(-4, 4),
+            )
+            for _ in range(2)
+        )
+        pairs.append((num, den))
+    reduced = set()
+    for num, den in pairs:
+        expected = prs_canonical(num, den)
+        assert _canonical(num, den) == expected
+        reduced.add(max(expected[1]) < max(den) - min(den))
+    assert reduced == {False, True}
