@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Iterable, Mapping
 
 from .errors import ValidationError
 
@@ -55,17 +56,6 @@ def _normalize_components(components) -> list[Component]:
     return out
 
 
-def _normalize_strata(strata) -> list[Stratum]:
-    out = []
-    for item in strata:
-        if isinstance(item, Stratum):
-            out.append(item)
-        else:
-            sid, comps, faces = item
-            out.append(Stratum(str(sid), frozenset(comps), dict(faces or {})))
-    return out
-
-
 def _is_id_list(value) -> bool:
     """Whether a JSON value is an array of string ids."""
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
@@ -77,50 +67,59 @@ def _shown(value, limit: int = 80) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def _synthesize(components: list[Component], strata: list[Stratum]) -> list[Stratum]:
-    """Fill in vertex strata and unambiguous face entries.
+def _synthesize(components: list[Component], strata) -> list[Stratum]:
+    """Build each stratum once, with vertex strata and unambiguous faces filled in.
 
+    Strata come as Stratum objects or (id, components, faces) triples.
     Components without a declared vertex stratum get one whose id is the
     component id.  A missing face entry is filled exactly when a unique
     stratum over the reduced component set exists; anything else is left for
     validation to report.
     """
-    stratum_ids = {s.id for s in strata}
-    covered = {next(iter(s.components)) for s in strata if len(s.components) == 1}
-    full = list(strata)
+    rows = [
+        (s.id, s.components, s.faces)
+        if isinstance(s, Stratum)
+        else (str(s[0]), frozenset(s[1]), s[2] or {})
+        for s in strata
+    ]
+    stratum_ids = {sid for sid, _, _ in rows}
+    covered = {next(iter(comps)) for _, comps, _ in rows if len(comps) == 1}
     for comp in components:
         if comp.id not in covered and comp.id not in stratum_ids:
-            full.append(Stratum(comp.id, frozenset([comp.id]), {}))
+            rows.append((comp.id, frozenset([comp.id]), {}))
             stratum_ids.add(comp.id)
 
     by_components: dict[frozenset[str], list[str]] = {}
-    for s in full:
-        by_components.setdefault(s.components, []).append(s.id)
+    for sid, comps, _ in rows:
+        by_components.setdefault(comps, []).append(sid)
 
-    completed = []
-    for s in full:
-        if len(s.components) < 2:
-            completed.append(s)
-            continue
-        faces = dict(s.faces)
-        for j in s.components:
-            if j in faces:
-                continue
-            candidates = by_components.get(s.components - {j}, [])
-            if len(candidates) == 1:
-                faces[j] = candidates[0]
-        completed.append(Stratum(s.id, s.components, faces))
-    return completed
+    out = []
+    for sid, comps, faces in rows:
+        faces = dict(faces)
+        if len(comps) >= 2:
+            for j in comps - faces.keys():
+                candidates = by_components.get(comps - {j}, [])
+                if len(candidates) == 1:
+                    faces[j] = candidates[0]
+        out.append(Stratum(sid, comps, faces))
+    return out
 
 
-def _model_problems(components: list[Component], strata: list[Stratum]) -> list[str]:
+def _model_problems(components: list[Component], strata: list[Stratum]):
+    """Every violation of the model invariants, and the indices built to find them.
+
+    Returns (problems, components by id, strata by id, vertex strata of each
+    component); the indices are the model's own once problems is empty.
+    """
     problems = []
+    if not components:
+        problems.append("model has no components")
 
-    comp_ids = set()
+    by_cid: dict[str, Component] = {}
     for c in components:
-        if c.id in comp_ids:
+        if c.id in by_cid:
             problems.append(f"component {c.id}: duplicate component id")
-        comp_ids.add(c.id)
+        by_cid[c.id] = c
         mult = c.multiplicity
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             problems.append(
@@ -134,15 +133,15 @@ def _model_problems(components: list[Component], strata: list[Stratum]) -> list[
         by_id[s.id] = s
         if not s.components:
             problems.append(f"stratum {s.id}: empty component set")
-        for c in s.components:
-            if c not in comp_ids:
+        for c in sorted(s.components):
+            if c not in by_cid:
                 problems.append(f"stratum {s.id}: unknown component {c}")
 
     vertex_of: dict[str, list[str]] = {}
     for s in strata:
         if len(s.components) == 1:
             vertex_of.setdefault(next(iter(s.components)), []).append(s.id)
-    for cid in sorted(comp_ids):
+    for cid in sorted(by_cid):
         hits = vertex_of.get(cid, [])
         if not hits:
             problems.append(f"component {cid}: no vertex stratum")
@@ -151,20 +150,22 @@ def _model_problems(components: list[Component], strata: list[Stratum]) -> list[
                 f"component {cid}: multiple vertex strata ({', '.join(sorted(hits))})"
             )
 
-    # face-map structure
+    # face-map structure; checked[i] holds the faces of strata[i] that lie
+    # over the right component set, face[sid] those of by_id[sid]
+    checked = []
     for s in strata:
+        checked.append({})
         if len(s.components) == 1:
             if s.faces:
                 problems.append(
                     f"stratum {s.id}: vertex stratum cannot have face entries"
                 )
             continue
-        for j in sorted(s.components):
-            if j not in s.faces:
-                problems.append(
-                    f"stratum {s.id}: missing face entry for {j}"
-                    " (no unique stratum over the reduced component set)"
-                )
+        for j in sorted(s.components - s.faces.keys()):
+            problems.append(
+                f"stratum {s.id}: missing face entry for {j}"
+                " (no unique stratum over the reduced component set)"
+            )
         for j, target in sorted(s.faces.items()):
             if j not in s.components:
                 problems.append(
@@ -184,36 +185,24 @@ def _model_problems(components: list[Component], strata: list[Stratum]) -> list[
                     f"stratum {s.id}: face for {j} must lie over {{{expect}}},"
                     f" but {target} lies over {{{got}}}"
                 )
+            else:
+                checked[-1][j] = target
+    face = {s.id: faces for s, faces in zip(strata, checked)}
 
     # simplicial compatibility: removing j then k agrees with k then j
-    def _face(stratum: Stratum, j: str) -> Stratum | None:
-        target = stratum.faces.get(j)
-        parent = by_id.get(target) if target is not None else None
-        if parent is None or parent.components != stratum.components - {j}:
-            return None
-        return parent
-
-    for s in strata:
+    for s, faces in zip(strata, checked):
         if len(s.components) < 3:
             continue
-        comps = sorted(s.components)
-        for a_index, a in enumerate(comps):
-            for b in comps[a_index + 1 :]:
-                via_a = _face(s, a)
-                via_b = _face(s, b)
-                if via_a is None or via_b is None:
-                    continue
-                ab = _face(via_a, b)
-                ba = _face(via_b, a)
-                if ab is None or ba is None:
-                    continue
-                if ab.id != ba.id:
-                    problems.append(
-                        f"stratum {s.id}: incompatible face maps:"
-                        f" removing {a} then {b} gives {ab.id},"
-                        f" removing {b} then {a} gives {ba.id}"
-                    )
-    return problems
+        for a, b in combinations(sorted(faces), 2):
+            ab = face[faces[a]].get(b)
+            ba = face[faces[b]].get(a)
+            if ab is not None and ba is not None and ab != ba:
+                problems.append(
+                    f"stratum {s.id}: incompatible face maps:"
+                    f" removing {a} then {b} gives {ab},"
+                    f" removing {b} then {a} gives {ba}"
+                )
+    return problems, by_cid, by_id, vertex_of
 
 
 class ModelDescription:
@@ -227,19 +216,14 @@ class ModelDescription:
 
     def __init__(self, components: Iterable, strata: Iterable = ()):
         comps = _normalize_components(components)
-        full = _synthesize(comps, _normalize_strata(strata))
-        problems = _model_problems(comps, full)
+        full = _synthesize(comps, strata)
+        problems, self._components, self._strata, self._vertex_of = _model_problems(
+            comps, full
+        )
         if problems:
             raise ValidationError(problems)
         self.components = tuple(sorted(comps, key=lambda c: c.id))
         self.strata = tuple(sorted(full, key=lambda s: s.id))
-        self._components = {c.id: c for c in self.components}
-        self._strata = {s.id: s for s in self.strata}
-        self._vertex_of = {
-            next(iter(s.components)): s.id
-            for s in self.strata
-            if len(s.components) == 1
-        }
 
     def component(self, cid: str) -> Component:
         try:
@@ -259,7 +243,7 @@ class ModelDescription:
     def vertex_stratum(self, cid: str) -> str:
         """Id of the unique vertex stratum of a component."""
         self.component(cid)
-        return self._vertex_of[cid]
+        return self._vertex_of[cid][0]
 
     def __eq__(self, other):
         if not isinstance(other, ModelDescription):
@@ -332,26 +316,10 @@ class ModelDescription:
 
 
 class DualComplex:
-    """The dual intersection complex of a model, with face-closure tables."""
+    """The dual intersection complex of a model: a view of its face maps."""
 
     def __init__(self, model: ModelDescription):
         self.model = model
-        closure: dict[str, frozenset[str]] = {}
-
-        def closure_of(sid: str) -> frozenset[str]:
-            cached = closure.get(sid)
-            if cached is not None:
-                return cached
-            s = model.stratum(sid)
-            acc = {sid}
-            for parent in s.faces.values():
-                acc.update(closure_of(parent))
-            closure[sid] = frozenset(acc)
-            return closure[sid]
-
-        for s in model.strata:
-            closure_of(s.id)
-        self._closure = closure
 
     def dimension(self, sid: str) -> int:
         return self.model.stratum(sid).dimension
@@ -362,7 +330,14 @@ class DualComplex:
 
     def face_closure(self, sid: str) -> frozenset[str]:
         """The stratum together with all its iterated faces."""
-        return self._closure[sid]
+        seen = {sid}
+        stack = [self.model.stratum(sid)]
+        while stack:
+            for f in stack.pop().faces.values():
+                if f not in seen:
+                    seen.add(f)
+                    stack.append(self.model.stratum(f))
+        return frozenset(seen)
 
     def direct_faces(self, sid: str) -> tuple[str, ...]:
         s = self.model.stratum(sid)
@@ -384,35 +359,33 @@ class DualComplex:
 
     def to_dot(self) -> str:
         """Graphviz rendering of the 1-skeleton; higher faces as comments."""
+        model = self.model
         lines = ["graph dual_complex {"]
-        for c in self.model.components:
-            vid = self.model.vertex_stratum(c.id)
-            lines.append(f'  "{vid}" [label="{c.id} (N={c.multiplicity})"];')
-        for s in self.model.strata:
+        for c in model.components:
+            vid = _dot_escaped(model.vertex_stratum(c.id))
+            label = f"{_dot_escaped(c.id)} (N={c.multiplicity})"
+            lines.append(f'  "{vid}" [label="{label}"];')
+        for s in model.strata:
             if s.dimension == 1:
-                a, b = sorted(s.components)
-                va = self.model.vertex_stratum(a)
-                vb = self.model.vertex_stratum(b)
-                lines.append(f'  "{va}" -- "{vb}" [label="{s.id}"];')
-        for s in self.model.strata:
+                va, vb = (_dot_escaped(model.vertex_stratum(j)) for j in sorted(s.components))
+                lines.append(f'  "{va}" -- "{vb}" [label="{_dot_escaped(s.id)}"];')
+        for s in model.strata:
             if s.dimension >= 2:
-                comps = ", ".join(sorted(s.components))
-                lines.append(f"  // {s.dimension}-face {s.id}: {comps}")
+                comps = ", ".join(_dot_escaped(j) for j in sorted(s.components))
+                lines.append(f"  // {s.dimension}-face {_dot_escaped(s.id)}: {comps}")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def build_complex(model: ModelDescription) -> DualComplex:
-    """One simplex of dimension |J| - 1 per stratum, faces from the face map.
+def _dot_escaped(text: str) -> str:
+    """An id as written inside a DOT string or comment: backslash, quote and
+    newline escaped, so it can neither end the string nor the comment."""
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
-    Models are immutable once validated, so the complex is memoized on the
-    model.
-    """
-    cached = getattr(model, "_dual_complex", None)
-    if cached is None:
-        cached = DualComplex(model)
-        model._dual_complex = cached
-    return cached
+
+def build_complex(model: ModelDescription) -> DualComplex:
+    """One simplex of dimension |J| - 1 per stratum, faces from the face map."""
+    return DualComplex(model)
 
 
 def connected_components(cx, strata: Iterable[str] | None = None) -> list[frozenset[str]]:

@@ -102,17 +102,28 @@ def form_problems(model: ModelDescription, form: PluricanonicalForm) -> list[str
                 f"stratum {sid}: vertex strata cannot carry a horizontal flag"
             )
     # downward closure: a stratum contained in a flagged one is flagged too
-    cx = build_complex(model)
+    least = _least_faces(model, flagged)
     for s in model.strata:
-        if s.id in flagged:
-            continue
-        hit = sorted(cx.face_closure(s.id) & flagged)
-        if hit:
+        if s.id not in flagged and least[s.id] is not None:
             problems.append(
-                f"stratum {s.id}: contains flagged stratum {hit[0]}"
+                f"stratum {s.id}: contains flagged stratum {least[s.id]}"
                 " but is not flagged itself"
             )
     return problems
+
+
+def _least_faces(model: ModelDescription, marked) -> dict[str, str | None]:
+    """The least marked proper iterated face of every stratum, or None.
+
+    Iterated faces are chains of direct faces, so one pass over the strata in
+    order of dimension reads each answer off those of the direct faces.
+    """
+    least: dict[str, str | None] = {}
+    for s in sorted(model.strata, key=lambda s: len(s.components)):
+        hits = [f for f in s.faces.values() if f in marked]
+        hits += [least[f] for f in s.faces.values() if least[f] is not None]
+        least[s.id] = min(hits, default=None)
+    return least
 
 
 def divisorial_weight(multiplicity: int, vertical_multiplicity: int, m: int) -> Fraction:
@@ -189,15 +200,15 @@ class Subcomplex:
 
     def __init__(self, complex: DualComplex, strata: Iterable[str]):
         ids = frozenset(strata)
+        known = complex.model._strata
+        least = _least_faces(complex.model, known.keys() - ids)
         problems = []
         for sid in sorted(ids):
-            if sid not in complex.model._strata:
+            if sid not in known:
                 problems.append(f"unknown stratum {sid}")
-                continue
-            missing = sorted(complex.face_closure(sid) - ids)
-            if missing:
+            elif least[sid] is not None:
                 problems.append(
-                    f"stratum {sid}: face {missing[0]} is missing from the subcomplex"
+                    f"stratum {sid}: face {least[sid]} is missing from the subcomplex"
                 )
         if problems:
             raise ValidationError(problems)

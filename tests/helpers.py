@@ -723,3 +723,177 @@ def random_point(rng, model: ModelDescription) -> SkeletonPoint:
         parts[rng.randrange(len(parts))] = 1
     total = sum(parts)
     return SkeletonPoint(s.id, {c: Fraction(p, total) for c, p in zip(comps, parts)})
+
+
+# -- face closures and malformed models ------------------------------------------
+
+
+def reference_face_closure(model: ModelDescription) -> dict[str, frozenset[str]]:
+    """Face closure of every stratum, by the recursive closure table."""
+    closure: dict[str, frozenset[str]] = {}
+
+    def closure_of(sid: str) -> frozenset[str]:
+        cached = closure.get(sid)
+        if cached is not None:
+            return cached
+        s = model.stratum(sid)
+        acc = {sid}
+        for parent in s.faces.values():
+            acc.update(closure_of(parent))
+        closure[sid] = frozenset(acc)
+        return closure[sid]
+
+    for s in model.strata:
+        closure_of(s.id)
+    return closure
+
+
+def reference_form_problems(model, form) -> list[str]:
+    """form_problems, with downward closure read off the closure table."""
+    problems = []
+    for c in model.components:
+        if c.id not in form.vertical:
+            problems.append(f"component {c.id}: no vertical multiplicity")
+    component_ids = {c.id for c in model.components}
+    for cid in sorted(form.vertical):
+        if cid not in component_ids:
+            problems.append(f"vertical multiplicity for unknown component {cid}")
+    closure = reference_face_closure(model)
+    for sid in sorted(form.horizontal):
+        if sid not in closure:
+            problems.append(f"horizontal flag on unknown stratum {sid}")
+    flagged = form.horizontal & closure.keys()
+    for sid in sorted(flagged):
+        if model.stratum(sid).dimension == 0:
+            problems.append(
+                f"stratum {sid}: vertex strata cannot carry a horizontal flag"
+            )
+    for s in model.strata:
+        if s.id in flagged:
+            continue
+        hit = sorted(closure[s.id] & flagged)
+        if hit:
+            problems.append(
+                f"stratum {s.id}: contains flagged stratum {hit[0]}"
+                " but is not flagged itself"
+            )
+    return problems
+
+
+def reference_subcomplex_problems(model, strata) -> list[str]:
+    """The problems Subcomplex reports, read off the closure table."""
+    ids = frozenset(strata)
+    closure = reference_face_closure(model)
+    problems = []
+    for sid in sorted(ids):
+        if sid not in closure:
+            problems.append(f"unknown stratum {sid}")
+            continue
+        missing = sorted(closure[sid] - ids)
+        if missing:
+            problems.append(
+                f"stratum {sid}: face {missing[0]} is missing from the subcomplex"
+            )
+    return problems
+
+
+def random_model_dict(rng, parallel_edges=True) -> dict:
+    """A model dict up to dimension 3 with parallel strata.  Faces are drawn
+    at random among the strata over each reduced set, one in five left
+    implicit, so face maps may be ambiguous or incompatible.  Without
+    parallel edges every pair of components meets once and every face map
+    is compatible."""
+    ids = list("ABCDE"[: rng.randint(1, 5)])
+    components = [{"id": c, "multiplicity": rng.randint(1, 4)} for c in ids]
+    strata = [{"id": f"V{c}", "components": [c]} for c in ids if rng.random() < 0.5]
+    over = {(c,): [s["id"] for s in strata if s["components"] == [c]] or [c] for c in ids}
+    for size in (2, 3, 4):
+        for comps in itertools.combinations(ids, size):
+            reduced = [tuple(x for x in comps if x != j) for j in comps]
+            if not all(r in over for r in reduced):
+                continue
+            for k in range(rng.choice([0, 1, 1, 2]) if parallel_edges or size > 2 else 1):
+                sid = f"S{''.join(comps)}{k}"
+                faces = {
+                    j: rng.choice(over[r])
+                    for j, r in zip(comps, reduced)
+                    if rng.random() < 0.8
+                }
+                strata.append({"id": sid, "components": list(comps), "faces": faces})
+                over.setdefault(comps, []).append(sid)
+    return {"components": components, "strata": strata}
+
+
+def _strata_of_size(data, rng, sizes):
+    hits = [s for s in data["strata"] if len(s["components"]) in sizes]
+    if not hits:
+        return None
+    s = rng.choice(hits)
+    s.setdefault("faces", {})
+    return s
+
+
+def _mutate(rng, data: dict) -> None:
+    """Break one model invariant of a model dict, in place."""
+    comps, strata = data["components"], data["strata"]
+    kind = rng.randrange(13)
+    if kind == 0:  # duplicate component id
+        comps.append(dict(rng.choice(comps)))
+    elif kind == 1:  # bad multiplicity
+        rng.choice(comps)["multiplicity"] = rng.choice([0, -2, True, False, "2", 1.5, None])
+    elif kind == 2 and strata:  # duplicate stratum id
+        twin = rng.choice(strata)
+        strata.append(dict(twin, faces=dict(twin.get("faces", {}))))
+    elif kind == 3 and strata:  # unknown component
+        rng.choice(strata)["components"].append(rng.choice(["Y", "Z"]))
+    elif kind == 4 and strata:  # empty component set
+        rng.choice(strata)["components"] = []
+    elif kind == 5 and (s := _strata_of_size(data, rng, (2, 3, 4))):  # unknown face target
+        s["faces"][rng.choice(s["components"])] = "nowhere"
+    elif kind == 6 and (s := _strata_of_size(data, rng, (2, 3, 4))):  # face over a wrong set
+        s["faces"][rng.choice(s["components"])] = rng.choice(strata)["id"]
+    elif kind == 7 and (s := _strata_of_size(data, rng, (2, 3, 4))):  # face for a non-component
+        s["faces"][rng.choice(comps)["id"] + "x"] = rng.choice(strata)["id"]
+    elif kind == 8 and (s := _strata_of_size(data, rng, (2, 3, 4))):  # dropped face entry
+        s["faces"].pop(rng.choice(s["components"]), None)
+    elif kind == 9 and (s := _strata_of_size(data, rng, (1,))):  # vertex stratum with faces
+        s["faces"] = {s["components"][0]: rng.choice(strata)["id"]}
+    elif kind == 10:  # second vertex stratum, so 2-faces may disagree
+        c = rng.choice(comps)["id"]
+        strata.append({"id": f"W{c}", "components": [c]})
+        for s in strata:
+            for j, target in s.get("faces", {}).items():
+                if target in (c, f"V{c}") and rng.random() < 0.5:
+                    s["faces"][j] = f"W{c}"
+    elif kind == 11:  # a higher stratum takes a component's id: no vertex stratum
+        a, b = rng.choice(comps)["id"], rng.choice(comps)["id"]
+        strata.append({"id": a, "components": sorted({a, b}), "faces": {}})
+    elif kind == 12:  # faces swapped between two strata of the top dimension
+        top = [s for s in strata if len(s["components"]) >= 3]
+        if len(top) >= 2:
+            s, t = rng.sample(top, 2)
+            s["faces"], t["faces"] = t["faces"], s["faces"]
+
+
+_MISSHAPEN = (
+    ("components", ["A", 1]),
+    ("components", {"id": 7}),
+    ("strata", {"id": "Q"}),
+    ("strata", {"id": "Q", "components": "AB"}),
+    ("strata", {"id": "Q", "components": ["A"], "faces": {"A": 3}}),
+)
+
+
+def malformed_model_dicts(rng, count: int) -> list[dict]:
+    """Seeded model dicts with one to three broken invariants each; one in
+    twenty also has an entry of the wrong JSON shape."""
+    out = []
+    for _ in range(count):
+        data = random_model_dict(rng)
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, data)
+        if rng.random() < 0.05:
+            key, entry = rng.choice(_MISSHAPEN)
+            data[key].append(entry)
+        out.append(data)
+    return out

@@ -485,3 +485,15 @@ def test_non_utf8_file_exits_1(tmp_path, capsys):
         capsys, "weight", fx("chain_123.json"), fx("chain_form_flat.json"), str(binary)
     )
     assert (code, out, err) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize("command", ["complex", "ks", "essential", "check"])
+def test_model_without_components_exits_1(tmp_path, capsys, command):
+    model = tmp_path / "empty.json"
+    model.write_text(json.dumps({"components": [], "strata": []}))
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"m": 1, "vertical": {}}))
+    argv = [command, str(model)] + ([] if command == "complex" else [str(form)])
+    code, out, err = run(capsys, *argv)
+    prefix = f"{model}: " if command == "check" else ""
+    assert (code, out, err) == (1, "", f"error: {prefix}model has no components\n")

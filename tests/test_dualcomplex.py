@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,7 +18,13 @@ from degenskel import (
     monomial_to_barycentric,
     monomial_valuation,
 )
-from helpers import load_model, random_interior_point, random_model, random_poly
+from helpers import (
+    load_model,
+    malformed_model_dicts,
+    random_interior_point,
+    random_model,
+    random_poly,
+)
 
 
 def test_star_curve_dual_graph():
@@ -61,6 +69,43 @@ def test_validation_duplicate_vertex_strata():
             [("E1", 1)],
             [("V1", ("E1",), None), ("V2", ("E1",), None)],
         )
+
+
+def test_validation_messages_are_pinned():
+    # pinned sha256 of every problem list (None for a valid model), so any
+    # change to a validation message or to the order of messages shows
+    lists = []
+    for data in malformed_model_dicts(random.Random(12), 2000):
+        try:
+            ModelDescription.from_dict(data)
+            lists.append(None)
+        except ValidationError as exc:
+            lists.append(exc.problems)
+    assert sum(p is not None for p in lists) > 1600
+    text = json.dumps(lists)
+    for message in ("duplicate component id", "duplicate stratum id",
+                    "unknown component", "targets unknown stratum", "must lie over",
+                    "incompatible face maps", "empty component set",
+                    "multiplicity must be a positive integer"):
+        assert text.count(message) >= 50, message
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "430b1783ef48c3d8d5dca05030aa6316c73e3a697fffec00a567ff28ab637d7b"
+    )
+
+
+def test_unknown_components_are_reported_in_order():
+    with pytest.raises(ValidationError) as exc:
+        ModelDescription([("A", 1)], [("S", ("Z", "A", "Y", "X"), None)])
+    assert exc.value.problems[:3] == [
+        f"stratum S: unknown component {c}" for c in "XYZ"
+    ]
+
+
+def test_model_without_components_is_rejected():
+    for data in ({"components": [], "strata": []}, {}):
+        with pytest.raises(ValidationError) as exc:
+            ModelDescription.from_dict(data)
+        assert exc.value.problems == ["model has no components"]
 
 
 def test_validation_dangling_face_target():
@@ -218,6 +263,27 @@ def test_dot_export():
     assert '"E1" [label="E1 (N=1)"];' in dot
     assert '"E1" -- "E2" [label="C12"];' in dot
     assert "// 2-face C123: E1, E2, E3" in dot
+
+
+def test_dot_escapes_ids():
+    model = ModelDescription(
+        [('A"1', 1), ("B\\", 2), ("C\nD", 1)],
+        [
+            ('x" ] y', ('A"1', "B\\"), None),
+            ("e\\", ('A"1', "C\nD"), None),
+            ("f", ("B\\", "C\nD"), None),
+            ('t"\n// u', ('A"1', "B\\", "C\nD"), None),
+        ],
+    )
+    dot = build_complex(model).to_dot()
+    lines = dot.splitlines()
+    # header, 3 vertices, 3 edges, 1 comment, closing brace
+    assert len(lines) == 9
+    for line in lines:
+        assert line.replace("\\\\", "").replace('\\"', "").count('"') % 2 == 0, line
+    assert '  "A\\"1" [label="A\\"1 (N=1)"];' in lines
+    assert '  "A\\"1" -- "B\\\\" [label="x\\" ] y"];' in lines
+    assert '  // 2-face t\\"\\n// u: A\\"1, B\\\\, C\\nD' in lines
 
 
 def test_model_json_round_trip():

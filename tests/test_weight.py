@@ -29,11 +29,15 @@ from helpers import (
     random_form,
     random_interior_point,
     random_model,
+    random_model_dict,
     random_point,
     random_subcomplex,
+    reference_face_closure,
+    reference_form_problems,
     reference_global_weight,
     reference_is_closed_pseudomanifold,
     reference_ks_skeleton,
+    reference_subcomplex_problems,
     reference_weight_at,
 )
 
@@ -230,6 +234,51 @@ def test_subcomplex_requires_face_closure():
     cx = build_complex(load_model("chain_123.json"))
     with pytest.raises(ValidationError, match="missing from the subcomplex"):
         Subcomplex(cx, {"C12"})
+
+
+def _random_marked(rng, model, closure):
+    """A random set of stratum ids: either the strata over a random seed set
+    or an arbitrary subset, sometimes with an unknown id."""
+    ids = [s.id for s in model.strata]
+    seeds = set(rng.sample(ids, rng.randint(0, len(ids))))
+    if rng.random() < 0.5:
+        over = {sid for sid in ids if closure[sid] & seeds}
+        return over if rng.random() < 0.5 else set().union(*(closure[s] for s in seeds))
+    return seeds | ({"nowhere"} if rng.random() < 0.1 else set())
+
+
+def test_closedness_checks_match_reference_table_sampled():
+    rng = random.Random(31)
+    models = [random_model(rng) for _ in range(300)]
+    for _ in range(300):
+        try:
+            data = random_model_dict(rng, parallel_edges=rng.random() < 0.5)
+            models.append(ModelDescription.from_dict(data))
+        except ValidationError:
+            pass
+    assert sum(build_complex(m).top_dimension == 3 for m in models) >= 10
+    for model in models:
+        cx = build_complex(model)
+        closure = reference_face_closure(model)
+        for s in model.strata:
+            assert cx.face_closure(s.id) == closure[s.id]
+        for _ in range(4):
+            vertical = dict(random_form(rng, model).vertical)
+            if rng.random() < 0.1:
+                vertical.pop(rng.choice(sorted(vertical)))
+            form = PluricanonicalForm(
+                rng.randint(1, 3), vertical, _random_marked(rng, model, closure)
+            )
+            assert form_problems(model, form) == reference_form_problems(model, form)
+
+            strata = _random_marked(rng, model, closure)
+            expected = reference_subcomplex_problems(model, strata)
+            if expected:
+                with pytest.raises(ValidationError) as exc:
+                    Subcomplex(cx, strata)
+                assert exc.value.problems == expected
+            else:
+                assert Subcomplex(cx, strata).strata == strata
 
 
 def test_is_connected():
