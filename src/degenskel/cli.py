@@ -42,7 +42,7 @@ PROG = "degenskel"
 def _loads(text: str, source: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or int() past its digit limit
         raise ValidationError(f"{source}: malformed JSON: {exc}") from None
     except RecursionError:
         raise ValidationError(f"{source}: JSON nested too deeply") from None
@@ -71,7 +71,7 @@ def _emit(payload, output: str | None):
     if not isinstance(payload, str):
         payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output:
-        Path(output).write_text(payload)
+        Path(output).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,6 @@ def _normalize_components(components) -> list[Component]:
 def _is_id_list(value) -> bool:
     """Whether a JSON value is an array of string ids."""
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-def _shown(value, limit: int = 80) -> str:
-    """repr of an input value, cut to at most limit characters."""
-    text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 def _synthesize(components: list[Component], strata) -> list[Stratum]:

@@ -1,4 +1,5 @@
-"""Shared exception type for invariant violations on user-supplied data."""
+"""Shared exception type for invariant violations on user-supplied data,
+and the cut repr that quotes such data in a message."""
 from __future__ import annotations
 
 
@@ -14,3 +15,9 @@ class ValidationError(ValueError):
             problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def _shown(value, limit: int = 80) -> str:
+    """repr of an input value, cut to at most limit characters."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."

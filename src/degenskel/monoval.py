@@ -90,6 +90,8 @@ class MultivariatePoly:
             )
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction, BaseElement)):
+            other = MultivariatePoly.constant(self.arity, other)
         if not isinstance(other, MultivariatePoly):
             return NotImplemented
         self._check_arity(other)
@@ -103,13 +105,16 @@ class MultivariatePoly:
                 terms.pop(exps, None)
         return MultivariatePoly._of(self.arity, terms)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return MultivariatePoly._of(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, MultivariatePoly):
-            return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, BaseElement)):

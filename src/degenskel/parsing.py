@@ -3,16 +3,18 @@
 Field elements are rational-coefficient expressions in t with + - * / ^ and
 parentheses, e.g. "t^2*(2+t)/(3+t)".  Polynomials additionally use the
 variables T1..Tr with nonnegative integer exponents, e.g. "t + T1*T2^2".
-Parsing is exact: no decimals are accepted, and division by anything
-involving a variable is rejected (polynomial inputs stay polynomials).
+Parsing is exact: no decimals are accepted.  A value is a BaseElement of
+Q(t) until a T-variable appears, and only then a MultivariatePoly.  A divisor
+or a negative-power base must be a BaseElement, so one written with a
+T-variable is rejected, even if the variables cancel.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 
-from .errors import ValidationError
-from .field import INFINITY, BaseElement
+from .errors import ValidationError, _shown
+from .field import INFINITY, BaseElement, uniformizer
 from .flow import _check_flow_time
 from .monoval import MultivariatePoly
 
@@ -31,9 +33,17 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the digit limit of int()
+        n = len(digits)
+        raise ValidationError(f"integer literal of {n} digits is too long") from None
+
+
 class _Parser:
     def __init__(self, text: str, arity: int):
-        self.text = text
+        self.shown = _shown(text)
         self.tokens = _tokenize(text)
         self.pos = 0
         self.arity = arity
@@ -44,19 +54,11 @@ class _Parser:
     def _next(self):
         tok = self._peek()
         if tok is None:
-            raise ValidationError(f"unexpected end of expression in {self.text!r}")
+            raise ValidationError(f"unexpected end of expression in {self.shown}")
         self.pos += 1
         return tok
 
-    def parse(self) -> MultivariatePoly:
-        value = self._expr()
-        if self._peek() is not None:
-            raise ValidationError(
-                f"unexpected token {self._peek()!r} in {self.text!r}"
-            )
-        return value
-
-    def _expr(self) -> MultivariatePoly:
+    def _expr(self):
         value = self._term()
         while self._peek() in ("+", "-"):
             op = self._next()
@@ -64,26 +66,19 @@ class _Parser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def _term(self) -> MultivariatePoly:
+    def _term(self):
         value = self._unary()
         while self._peek() in ("*", "/"):
             op = self._next()
             rhs = self._unary()
-            if op == "*":
-                value = value * rhs
-            else:
-                value = value * self._constant_inverse(rhs)
+            if op == "/" and isinstance(rhs, MultivariatePoly):
+                raise ValidationError("cannot divide by an expression in T-variables")
+            if op == "/" and not rhs:
+                raise ValidationError("division by zero in expression")
+            value = value * (rhs.inverse() if op == "/" else rhs)
         return value
 
-    def _constant_inverse(self, divisor: MultivariatePoly) -> MultivariatePoly:
-        const = _constant_of(divisor)
-        if const is None:
-            raise ValidationError("cannot divide by an expression in T-variables")
-        if not const:
-            raise ValidationError("division by zero in expression")
-        return MultivariatePoly.constant(self.arity, const.inverse())
-
-    def _unary(self) -> MultivariatePoly:
+    def _unary(self):
         negate = False
         while self._peek() == "-":
             self._next()
@@ -91,57 +86,55 @@ class _Parser:
         value = self._power()
         return -value if negate else value
 
-    def _power(self) -> MultivariatePoly:
+    def _power(self):
         base = self._atom()
         if self._peek() != "^":
             return base
         self._next()
-        sign = 1
-        if self._peek() == "-":
+        negative = self._peek() == "-"
+        if negative:
             self._next()
-            sign = -1
         tok = self._next()
         if not tok.isdigit():
-            raise ValidationError(f"exponent must be an integer, got {tok!r}")
-        n = sign * int(tok)
-        if n >= 0:
-            return base**n
-        const = _constant_of(base)
-        if const is None:
+            raise ValidationError(f"exponent must be an integer, got {_shown(tok)}")
+        n = -_integer(tok) if negative else _integer(tok)
+        if n < 0 and isinstance(base, MultivariatePoly):
             raise ValidationError("negative powers of T-variables are not allowed")
-        return MultivariatePoly.constant(self.arity, const ** n)
+        return base**n
 
-    def _atom(self) -> MultivariatePoly:
+    def _atom(self):
         tok = self._next()
         if tok == "(":
             value = self._expr()
             if self._next() != ")":
-                raise ValidationError(f"unbalanced parentheses in {self.text!r}")
+                raise ValidationError(f"unbalanced parentheses in {self.shown}")
             return value
         if tok == "t":
-            return MultivariatePoly.constant(self.arity, BaseElement({1: 1}))
+            return uniformizer()
         if tok.isdigit():
-            return MultivariatePoly.constant(self.arity, int(tok))
+            return BaseElement(_integer(tok))
         m = _VARIABLE.fullmatch(tok)
         if m:
-            index = int(m.group(1))
+            index = _integer(m.group(1))
             if not 1 <= index <= self.arity:
                 raise ValidationError(
                     f"variable {tok} out of range: expression has arity {self.arity}"
                 )
             return MultivariatePoly.variable(index, self.arity)
-        raise ValidationError(f"unexpected token {tok!r} in {self.text!r}")
+        raise ValidationError(f"unexpected token {_shown(tok)} in {self.shown}")
 
 
-def _constant_of(poly: MultivariatePoly) -> BaseElement | None:
-    """The constant value of a polynomial, or None if a variable occurs."""
-    if not poly.terms:
-        return BaseElement(0)
-    if len(poly.terms) == 1:
-        exps, coeff = next(iter(poly.terms.items()))
-        if not any(exps):
-            return coeff
-    return None
+def _parse(text: str, arity: int):
+    """A BaseElement, or a MultivariatePoly of this arity if a T-variable occurs."""
+    parser = _Parser(text, arity)
+    try:
+        value = parser._expr()
+    except RecursionError:
+        raise ValidationError("expression nested too deeply") from None
+    tok = parser._peek()
+    if tok is not None:
+        raise ValidationError(f"unexpected token {_shown(tok)} in {parser.shown}")
+    return value
 
 
 def parse_polynomial(text: str, arity: int | None = None) -> MultivariatePoly:
@@ -151,20 +144,18 @@ def parse_polynomial(text: str, arity: int | None = None) -> MultivariatePoly:
     occurs (zero for a constant expression).
     """
     if arity is None:
-        indices = [int(m.group(1)) for m in _VARIABLE.finditer(text)]
-        arity = max(indices, default=0)
-    try:
-        return _Parser(text, arity).parse()
-    except RecursionError:
-        raise ValidationError("expression nested too deeply") from None
+        arity = max((_integer(m[1]) for m in _VARIABLE.finditer(text)), default=0)
+    value = _parse(text, arity)
+    if isinstance(value, BaseElement):
+        return MultivariatePoly.constant(arity, value)
+    return value
 
 
 def parse_element(text: str) -> BaseElement:
     """Parse a base-field element; T-variables are rejected."""
     if _VARIABLE.search(text):
         raise ValidationError("field elements cannot contain T-variables")
-    poly = parse_polynomial(text, arity=0)
-    return poly.terms.get((), BaseElement(0))
+    return _parse(text, 0)
 
 
 def parse_flow_time(text: str):
@@ -173,5 +164,7 @@ def parse_flow_time(text: str):
     try:
         s = INFINITY if text == "inf" else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"invalid flow time {text!r}: {exc}") from None
+        # the reason quotes the text again, so only a short text gets it
+        reason = f": {exc}" if len(repr(text)) <= 80 else ""
+        raise ValidationError(f"invalid flow time {_shown(text)}{reason}") from None
     return _check_flow_time(s)

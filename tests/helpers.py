@@ -394,6 +394,71 @@ def random_expression(rng, depth=3) -> tuple[str, ReferenceElement]:
     return f"({lhs}){op}({rhs})", value
 
 
+def _reference_terms_sum(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        s = out.pop(e, ReferenceElement(0)) + c
+        if s:
+            out[e] = s
+    return out
+
+
+def _reference_terms_product(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            out = _reference_terms_sum(
+                out, {tuple(x + y for x, y in zip(ea, eb)): ca * cb}
+            )
+    return out
+
+
+def random_poly_expression(rng, arity=3, depth=4) -> tuple[str, dict]:
+    """A random polynomial expression in T1..T_arity and t, and its terms
+    {exponents: ReferenceElement} computed in reference arithmetic on the
+    same expression tree.
+
+    It has nested parentheses, unary minus, powers up to 4, and division by
+    field constants with t in denominators (random_expression).  Divisors
+    and negative-power bases are written without T-variables, so every
+    text is valid."""
+    one = (0,) * arity
+    if depth == 0 or rng.random() < 0.1:
+        if rng.random() < 0.6:
+            k = rng.randrange(arity)
+            exps = tuple(int(i == k) for i in range(arity))
+            return f"T{k + 1}", {exps: ReferenceElement(1)}
+        text, value = random_expression(rng, rng.randint(0, 2))
+        return text, {one: value} if value else {}
+    op = rng.choice(["+", "+", "-", "*", "*", "/", "^", "neg", "paren"])
+    lhs, lval = random_poly_expression(rng, arity, depth - 1)
+    if op == "neg":
+        k = rng.randint(1, 3)
+        return "-" * k + f"({lhs})", {e: -c if k % 2 else c for e, c in lval.items()}
+    if op == "paren":
+        return f"(({lhs}))", lval
+    if op == "^":
+        lo = -2 if "T" not in lhs and lval else 0
+        n = rng.randint(lo, 4 if depth <= 2 else 2)
+        if n < 0:
+            return f"({lhs})^{n}", {one: lval[one] ** n}
+        value = {one: ReferenceElement(1)}
+        for _ in range(n):
+            value = _reference_terms_product(value, lval)
+        return f"({lhs})^{n}", value
+    if op == "/":
+        rhs, rval = random_expression(rng, 2)
+        if rval:
+            return f"({lhs}) / ({rhs})", {e: c / rval for e, c in lval.items()}
+        op = "*"
+    rhs, rval = random_poly_expression(rng, arity, depth - 1)
+    if op == "-":
+        rval = {e: -c for e, c in rval.items()}
+    if op == "*":
+        return f"({lhs})*({rhs})", _reference_terms_product(lval, rval)
+    return f"({lhs}){op}({rhs})", _reference_terms_sum(lval, rval)
+
+
 def random_unit(rng) -> BaseElement:
     return BaseElement(
         random_poly_t(rng, nonzero_const=True),

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from degenskel import ModelDescription, PluricanonicalForm, field
+import degenskel
+from degenskel import ModelDescription, PluricanonicalForm, build_complex, field
 from degenskel.cli import main
 from helpers import FIXTURES
 
@@ -497,3 +502,56 @@ def test_model_without_components_exits_1(tmp_path, capsys, command):
     code, out, err = run(capsys, *argv)
     prefix = f"{model}: " if command == "check" else ""
     assert (code, out, err) == (1, "", f"error: {prefix}model has no components\n")
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "1", "1", "t", "1", "0", NINES],
+    ["flow", "1", "1", "t", "1", "0", "T1^" + NINES],
+    ["retract", "1", "1", "t", NINES],
+], ids=["flow-literal", "flow-exponent", "retract"])
+def test_overlong_integer_literal_exits_1(capsys, argv):
+    # past the digit limit of int(), which raises a plain ValueError
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: integer literal of 5000 digits is too long\n")
+
+
+def test_overlong_json_integer_exits_1(tmp_path, capsys):
+    model = tmp_path / "big.json"
+    model.write_text(
+        '{"components": [{"id": "E1", "multiplicity": ' + NINES + '}], "strata": []}'
+    )
+    point = '{"stratum": "E1", "barycentric": {"E1": ' + NINES + "}}"
+    for argv, source in (
+        (["complex", str(model)], str(model)),
+        (["check", str(model)], str(model)),
+        (["weight", fx("chain_123.json"), fx("chain_form_flat.json"), point],
+         "point argument"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {source}: malformed JSON: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_output_file_is_utf8_in_the_c_locale(tmp_path):
+    # with UTF-8 mode and locale coercion off, the locale's encoding is ASCII
+    model = tmp_path / "accent.json"
+    data = {"components": [{"id": "E\u00e9", "multiplicity": 1}], "strata": []}
+    model.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out.dot"
+    env = dict(
+        os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+        PYTHONPATH=str(Path(degenskel.__file__).resolve().parent.parent),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "degenskel.cli", "complex", str(model), "--dot",
+         "-o", str(out)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    dot = build_complex(ModelDescription.from_dict(data)).to_dot()
+    assert out.read_bytes() == dot.encode("utf-8")
+    assert '"E\u00e9"'.encode("utf-8") in out.read_bytes()

@@ -181,6 +181,19 @@ def test_arithmetic_builds_no_validated_polynomial(monkeypatch):
     assert MultivariatePoly(1, {(1,): 0}).terms == {}
 
 
+def test_field_scalars_add_on_either_side():
+    # the parser adds and subtracts constants and polynomials in any order
+    rng = random.Random(73)
+    f = random_poly(rng, 2)
+    for c in (3, Fraction(-2, 5), random_element(rng)):
+        lifted = MultivariatePoly.constant(2, c)
+        assert f + c == c + f == f + lifted
+        assert f - c == f - lifted
+        assert c - f == lifted - f
+    with pytest.raises(TypeError):
+        f + 0.5
+
+
 def test_evaluate_substitution():
     rng = random.Random(71)
     t = uniformizer()

@@ -32,3 +32,20 @@ def test_imports_are_stdlib_only():
             ]
     assert len(list(SRC.glob("*.py"))) > 1
     assert outside == []
+
+
+def test_text_io_names_its_encoding():
+    # open, read_text and write_text default to the locale's encoding, which
+    # need not be UTF-8 (ASCII in the C locale)
+    unnamed = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("open", "read_text", "write_text") and not any(
+                k.arg == "encoding" for k in node.keywords
+            ):
+                unnamed.append(f"{path.name}:{node.lineno}: {name}")
+    assert unnamed == []
