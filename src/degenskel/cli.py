@@ -72,7 +72,10 @@ def _emit(payload, output: str | None):
         payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output:
         Path(output).write_text(payload, encoding="utf-8")
-    else:
+    elif hasattr(sys.stdout, "buffer"):  # UTF-8 in every locale, as with -o
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload.encode("utf-8"))
+    else:  # a text stream with no bytes underneath, such as an io.StringIO
         sys.stdout.write(payload)
 
 

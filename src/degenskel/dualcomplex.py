@@ -102,8 +102,8 @@ def _synthesize(components: list[Component], strata) -> list[Stratum]:
 def _model_problems(components: list[Component], strata: list[Stratum]):
     """Every violation of the model invariants, and the indices built to find them.
 
-    Returns (problems, components by id, strata by id, vertex strata of each
-    component); the indices are the model's own once problems is empty.
+    Returns (problems, and by id: components, strata, vertex strata of each
+    component, checked faces); the indices are the model's own once valid.
     """
     problems = []
     if not components:
@@ -196,7 +196,7 @@ def _model_problems(components: list[Component], strata: list[Stratum]):
                     f" removing {a} then {b} gives {ab},"
                     f" removing {b} then {a} gives {ba}"
                 )
-    return problems, by_cid, by_id, vertex_of
+    return problems, by_cid, by_id, vertex_of, face
 
 
 class ModelDescription:
@@ -211,13 +211,15 @@ class ModelDescription:
     def __init__(self, components: Iterable, strata: Iterable = ()):
         comps = _normalize_components(components)
         full = _synthesize(comps, strata)
-        problems, self._components, self._strata, self._vertex_of = _model_problems(
-            comps, full
+        problems, self._components, self._strata, self._vertex_of, faces = (
+            _model_problems(comps, full)
         )
         if problems:
             raise ValidationError(problems)
         self.components = tuple(sorted(comps, key=lambda c: c.id))
         self.strata = tuple(sorted(full, key=lambda s: s.id))
+        # the direct faces of each stratum, in sorted component order as checked
+        self._faces = {sid: tuple(f.values()) for sid, f in faces.items()}
 
     def component(self, cid: str) -> Component:
         try:
@@ -334,8 +336,8 @@ class DualComplex:
         return frozenset(seen)
 
     def direct_faces(self, sid: str) -> tuple[str, ...]:
-        s = self.model.stratum(sid)
-        return tuple(s.faces[j] for j in sorted(s.components) if j in s.faces)
+        """The direct faces of a stratum, in sorted component order."""
+        return self.model._faces[self.model.stratum(sid).id]
 
     def strata_of_dimension(self, d: int) -> list[str]:
         return [s.id for s in self.model.strata if s.dimension == d]
@@ -393,9 +395,10 @@ def connected_components(cx, strata: Iterable[str] | None = None) -> list[frozen
     if strata is None and hasattr(cx, "complex") and hasattr(cx, "strata"):
         strata = cx.strata
         cx = cx.complex
-    ids = set(cx.model._strata) if strata is None else set(strata)
-    for sid in ids:
-        cx.model.stratum(sid)
+    faces = cx.model._faces
+    ids = set(faces) if strata is None else set(strata)
+    for sid in sorted(ids - faces.keys()):
+        cx.model.stratum(sid)  # raises on the least unknown id
 
     parent = {sid: sid for sid in ids}
 
@@ -406,7 +409,7 @@ def connected_components(cx, strata: Iterable[str] | None = None) -> list[frozen
         return x
 
     for sid in ids:
-        for f in cx.direct_faces(sid):
+        for f in faces[sid]:
             if f in ids:
                 ra, rb = find(sid), find(f)
                 if ra != rb:

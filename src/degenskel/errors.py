@@ -17,7 +17,7 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def _shown(value, limit: int = 80) -> str:
-    """repr of an input value, cut to at most limit characters."""
-    text = repr(value)
+def _shown(value, limit: int = 80, quote=repr) -> str:
+    """quote(value), by default its repr, cut to at most limit characters."""
+    text = quote(value)
     return text if len(text) <= limit else text[: limit - 3] + "..."

@@ -29,7 +29,10 @@ arithmetic the convention v(0) = +infinity requires.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
+
+from .errors import ValidationError
 
 INFINITY = math.inf
 
@@ -361,4 +364,9 @@ def format_rational(v) -> str:
     """Render a rational value (or INFINITY) as 'p/q' in lowest terms."""
     if v == INFINITY:
         return "inf"
-    return str(Fraction(v))
+    v = Fraction(v)
+    try:
+        return str(v)
+    except ValueError:  # a part past the digit limit of int()
+        digits = Decimal(max(abs(v.numerator), v.denominator)).adjusted() + 1
+        raise ValidationError(f"rational of {digits} digits is too long to print") from None

@@ -118,7 +118,8 @@ class _Parser:
             index = _integer(m.group(1))
             if not 1 <= index <= self.arity:
                 raise ValidationError(
-                    f"variable {tok} out of range: expression has arity {self.arity}"
+                    f"variable {_shown(tok, quote=str)} out of range:"
+                    f" expression has arity {self.arity}"
                 )
             return MultivariatePoly.variable(index, self.arity)
         raise ValidationError(f"unexpected token {_shown(tok)} in {self.shown}")

@@ -81,7 +81,9 @@ class PluricanonicalForm:
 
 
 def form_problems(model: ModelDescription, form: PluricanonicalForm) -> list[str]:
-    """Every violation of the form invariants relative to the model."""
+    """Every violation of the form invariants relative to the model.  Flags
+    are closed under cofaces iff no unflagged stratum has a flagged direct
+    face, so the least flagged faces are computed only to word a violation."""
     problems = []
     for c in model.components:
         if c.id not in form.vertical:
@@ -101,14 +103,15 @@ def form_problems(model: ModelDescription, form: PluricanonicalForm) -> list[str
             problems.append(
                 f"stratum {sid}: vertex strata cannot carry a horizontal flag"
             )
-    # downward closure: a stratum contained in a flagged one is flagged too
-    least = _least_faces(model, flagged)
-    for s in model.strata:
-        if s.id not in flagged and least[s.id] is not None:
-            problems.append(
-                f"stratum {s.id}: contains flagged stratum {least[s.id]}"
-                " but is not flagged itself"
-            )
+    faces = model._faces
+    if flagged and any(s not in flagged and not flagged.isdisjoint(faces[s]) for s in faces):
+        least = _least_faces(model, flagged)
+        for s in model.strata:
+            if s.id not in flagged and least[s.id] is not None:
+                problems.append(
+                    f"stratum {s.id}: contains flagged stratum {least[s.id]}"
+                    " but is not flagged itself"
+                )
     return problems
 
 
@@ -120,8 +123,9 @@ def _least_faces(model: ModelDescription, marked) -> dict[str, str | None]:
     """
     least: dict[str, str | None] = {}
     for s in sorted(model.strata, key=lambda s: len(s.components)):
-        hits = [f for f in s.faces.values() if f in marked]
-        hits += [least[f] for f in s.faces.values() if least[f] is not None]
+        faces = model._faces[s.id]
+        hits = [f for f in faces if f in marked]
+        hits += [least[f] for f in faces if least[f] is not None]
         least[s.id] = min(hits, default=None)
     return least
 
@@ -196,22 +200,21 @@ def weight_at(
 
 
 class Subcomplex:
-    """A face-closed set of strata of a dual complex."""
+    """A face-closed set of strata of a dual complex: its members' direct faces
+    are members, and that is all the check reads.  The least missing faces
+    are computed only to word a violation."""
 
     def __init__(self, complex: DualComplex, strata: Iterable[str]):
         ids = frozenset(strata)
-        known = complex.model._strata
-        least = _least_faces(complex.model, known.keys() - ids)
-        problems = []
-        for sid in sorted(ids):
-            if sid not in known:
-                problems.append(f"unknown stratum {sid}")
-            elif least[sid] is not None:
-                problems.append(
-                    f"stratum {sid}: face {least[sid]} is missing from the subcomplex"
-                )
-        if problems:
-            raise ValidationError(problems)
+        faces = complex.model._faces
+        if not all(sid in faces and ids.issuperset(faces[sid]) for sid in ids):
+            least = _least_faces(complex.model, faces.keys() - ids)
+            raise ValidationError([
+                f"stratum {sid}: face {least[sid]} is missing from the subcomplex"
+                if sid in faces else f"unknown stratum {sid}"
+                for sid in sorted(ids)
+                if sid not in faces or least[sid] is not None
+            ])
         self.complex = complex
         self.strata = ids
 
@@ -297,9 +300,10 @@ def is_closed_pseudomanifold(sub: Subcomplex) -> bool:
         raise ValidationError("pseudo-manifold test requires a nonempty subcomplex")
     cx = sub.complex
     d = sub.dimension
+    direct = cx.model._faces
 
     # sub is face-closed, so its maximal faces are no member's direct face
-    faces = {f for sid in sub.strata for f in cx.direct_faces(sid)}
+    faces = {f for sid in sub.strata for f in direct[sid]}
     if any(cx.dimension(sid) != d for sid in sub.strata - faces):
         return False
 
@@ -309,7 +313,7 @@ def is_closed_pseudomanifold(sub: Subcomplex) -> bool:
 
     cofaces: dict[str, int] = {}
     for sid in top:
-        for facet in cx.direct_faces(sid):
+        for facet in direct[sid]:
             cofaces[facet] = cofaces.get(facet, 0) + 1
     ridges = [sid for sid in sub.strata if cx.dimension(sid) == d - 1]
     if any(cofaces.get(r, 0) != 2 for r in ridges):

@@ -536,22 +536,56 @@ def test_overlong_json_integer_exits_1(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-def test_output_file_is_utf8_in_the_c_locale(tmp_path):
+def test_weight_past_the_digit_limit_exits_1(tmp_path, capsys):
+    # (nu + m)/N = 10^4300 loads, but has one digit more than int() may print
+    model = tmp_path / "one.json"
+    model.write_text(json.dumps({"components": [{"id": "E1"}], "strata": []}))
+    form = tmp_path / "huge.json"
+    form.write_text('{"m": 1, "vertical": {"E1": ' + "9" * 4300 + "}}")
+    point = '{"stratum": "E1", "barycentric": {"E1": 1}}'
+    for argv in (["weight", str(model), str(form), point], ["ks", str(model), str(form)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: rational of 4301 digits is too long to print\n")
+
+
+def test_out_of_range_variable_is_quoted_at_most_80_characters(capsys):
+    token = "T" + "9" * 4000
+    code, out, err = run(capsys, "flow", "1", "1", "t", "1", "0", token)
+    line = f"error: variable {token[:77]}... out of range: expression has arity 2\n"
+    assert (code, out, err) == (1, "", line)
+
+
+def _run_in_the_c_locale(*argv):
     # with UTF-8 mode and locale coercion off, the locale's encoding is ASCII
-    model = tmp_path / "accent.json"
-    data = {"components": [{"id": "E\u00e9", "multiplicity": 1}], "strata": []}
-    model.write_text(json.dumps(data), encoding="utf-8")
-    out = tmp_path / "out.dot"
     env = dict(
         os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
         PYTHONPATH=str(Path(degenskel.__file__).resolve().parent.parent),
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "degenskel.cli", "complex", str(model), "--dot",
-         "-o", str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "degenskel.cli", *argv],
         capture_output=True, env=env, timeout=60,
     )
+
+
+ACCENTED = {"components": [{"id": "E\u00e9", "multiplicity": 1}], "strata": []}
+
+
+def test_output_file_is_utf8_in_the_c_locale(tmp_path):
+    model = tmp_path / "accent.json"
+    model.write_text(json.dumps(ACCENTED), encoding="utf-8")
+    out = tmp_path / "out.dot"
+    proc = _run_in_the_c_locale("complex", str(model), "--dot", "-o", str(out))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
-    dot = build_complex(ModelDescription.from_dict(data)).to_dot()
+    dot = build_complex(ModelDescription.from_dict(ACCENTED)).to_dot()
     assert out.read_bytes() == dot.encode("utf-8")
     assert '"E\u00e9"'.encode("utf-8") in out.read_bytes()
+
+
+def test_stdout_is_utf8_in_the_c_locale(tmp_path):
+    model = tmp_path / "accent.json"
+    model.write_text(json.dumps(ACCENTED), encoding="utf-8")
+    proc = _run_in_the_c_locale("complex", str(model), "--dot")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    dot = build_complex(ModelDescription.from_dict(ACCENTED)).to_dot()
+    assert proc.stdout == dot.encode("utf-8")
+    assert '"E\u00e9"'.encode("utf-8") in proc.stdout

@@ -146,6 +146,19 @@ def test_overlong_integer_literal_is_named(text):
         assert exc.value.problems == ["integer literal of 5000 digits is too long"]
 
 
+def test_out_of_range_variable_is_quoted_at_most_80_characters():
+    token = "T" + "9" * 4000
+    with pytest.raises(ValidationError) as exc:
+        parse_polynomial(token, arity=2)
+    assert exc.value.problems == [
+        f"variable {token[:77]}... out of range: expression has arity 2"
+    ]
+    token = "T" + "9" * 79  # 80 characters: quoted whole
+    with pytest.raises(ValidationError) as exc:
+        parse_polynomial("T1+" + token, arity=2)
+    assert exc.value.problems == [f"variable {token} out of range: expression has arity 2"]
+
+
 @pytest.mark.parametrize("parse, text, start", [
     (parse_element, "t+" * 5000, "unexpected end of expression in 't+t+"),
     (parse_element, "t" + ")" * 5000, "unexpected token ')' in 't))"),

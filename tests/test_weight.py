@@ -262,6 +262,9 @@ def test_closedness_checks_match_reference_table_sampled():
         closure = reference_face_closure(model)
         for s in model.strata:
             assert cx.face_closure(s.id) == closure[s.id]
+            assert cx.direct_faces(s.id) == tuple(
+                s.faces[j] for j in sorted(s.components) if j in s.faces
+            )
         for _ in range(4):
             vertical = dict(random_form(rng, model).vertical)
             if rng.random() < 0.1:
@@ -279,6 +282,43 @@ def test_closedness_checks_match_reference_table_sampled():
                 assert exc.value.problems == expected
             else:
                 assert Subcomplex(cx, strata).strata == strata
+
+
+FIXTURE_PAIRS = [
+    ("chain_123.json", "chain_form_flat.json"),
+    ("chain_123.json", "chain_form_vertex.json"),
+    ("coordinate_planes.json", "planes_form.json"),
+    ("coordinate_planes.json", "planes_form_horizontal.json"),
+    ("disconnected_argmin.json", "disconnected_form.json"),
+    ("kulikov_k3.json", "kulikov_form.json"),
+    ("star_curve.json", "star_form.json"),
+]
+
+
+def test_closed_inputs_never_compute_least_faces(monkeypatch):
+    # the least missing face only words a problem, so valid inputs never need it
+    def fail(*args):
+        raise AssertionError("_least_faces called on a valid input")
+
+    monkeypatch.setattr(weight_module, "_least_faces", fail)
+    pairs = [(load_model(m), load_form(f)) for m, f in FIXTURE_PAIRS]
+    rng = random.Random(47)
+    for _ in range(150):
+        model = random_model(rng)
+        pairs += [(model, random_form(rng, model)) for _ in range(2)]
+    assert sum(bool(form.horizontal) for _, form in pairs) >= 50
+    for model, form in pairs:
+        assert form_problems(model, form) == []
+        sub = ks_skeleton(model, form)
+        assert sub.strata == reference_ks_skeleton(model, form).strata
+        other = random_form(rng, model)
+        both = essential_skeleton(model, [form, other])
+        assert both.strata == sub.strata | ks_skeleton(model, other).strata
+        cx = build_complex(model)
+        closure = reference_face_closure(model)
+        seeds = rng.sample(sorted(closure), rng.randint(0, len(closure)))
+        closed = set().union(*(closure[sid] for sid in seeds))
+        assert Subcomplex(cx, closed).strata == closed
 
 
 def test_is_connected():
