@@ -26,7 +26,6 @@ from .weight import (
     PluricanonicalForm,
     Subcomplex,
     WeightValue,
-    divisorial_weight,
     essential_skeleton,
     form_problems,
     global_weight,
@@ -67,7 +66,6 @@ __all__ = [
     "barycentric_to_monomial",
     "build_complex",
     "connected_components",
-    "divisorial_weight",
     "essential_skeleton",
     "flow_expansion",
     "flow_value",

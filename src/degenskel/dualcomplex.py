@@ -289,6 +289,11 @@ class ModelDescription:
                 problems.append(f"stratum {entry['id']}: face targets must be ids")
             else:
                 strata.append((entry["id"], entry["components"], entry.get("faces")))
+        # a JSON escape can carry a lone surrogate, which UTF-8 cannot encode
+        for kind, rows in (("component", comps), ("stratum", strata)):
+            for sid, *_ in rows:
+                if sid.encode("utf-8", "replace").decode("utf-8") != sid:
+                    problems.append(f"{kind} id {_shown(sid)} is not valid UTF-8")
         if problems:
             raise ValidationError(problems)
         return cls(comps, strata)

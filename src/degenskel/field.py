@@ -11,7 +11,10 @@ An element is stored as one pair of integer polynomials: a Laurent
 numerator over a denominator with positive constant term, coprime, with
 joint integer content 1.  Rationals enter only in the constructor, which
 clears their denominators once, and leave only in rendering, so all
-arithmetic runs on Python ints.
+arithmetic runs on Python ints.  The flow's Taylor coefficients come in a
+deferred form, _Unreduced, whose invariant is weaker: den is a polynomial
+with nonzero constant term, so v = min(num) with no reduction; the pair is
+reduced to the canonical one on first read.
 
 Reduction takes one heuristic gcd: the integer gcd of both sides at a
 large x, read back as a polynomial off its base-x digits, with both
@@ -329,6 +332,31 @@ class BaseElement:
 
     def __repr__(self) -> str:
         return f"BaseElement({str(self)!r})"
+
+
+class _Unreduced(BaseElement):
+    """num/den unreduced, den a polynomial with nonzero constant term: the
+    valuation and truth value are read off num, and the first read of _num
+    or _den reduces the pair once, as BaseElement._make(num, den) would."""
+
+    __slots__ = ("_pair",)
+
+    def __init__(self, num: Coeffs, den: Coeffs):
+        object.__setattr__(self, "_pair", (num, den))
+
+    def __getattr__(self, name):
+        if name not in ("_num", "_den"):
+            raise AttributeError(name)
+        num, den = _canonical(*self._pair)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        return num if name == "_num" else den
+
+    def valuation(self):
+        return min(self._pair[0]) if self._pair[0] else INFINITY
+
+    def __bool__(self) -> bool:
+        return bool(self._pair[0])
 
 
 def _term_str(c: Fraction, e: int) -> str:

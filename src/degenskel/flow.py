@@ -25,10 +25,11 @@ x2^j, with (i, j) the diagonal's least term in f.  Each sum is an unreduced
 integer pair, so an expression that is actually zero cancels exactly and
 no gcd is taken.  Rigid points have coordinates in the base field with
 x1^N1 * x2^N2 = t and nonnegative valuations; their coefficients c_i are
-exact field elements, formed with one product per diagonal.  Monomial
-points on the edge carry weights (a1, a2); distinct diagonals are
-independent and each moves as one power of V, so every v(c_i) is a minimum
-of v_K(sum) + i*a1 + j*a2, read off without building any c_i.
+exact field elements over one common denominator, each reduced on its first
+read.  Monomial points on the edge carry weights (a1, a2); distinct
+diagonals are independent and each moves as one power of V, so every
+v(c_i) is a minimum of v_K(sum) + i*a1 + j*a2, read off without building
+any c_i.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from typing import Mapping
 
 from .dualcomplex import ModelDescription, MonomialPointData
 from .errors import ValidationError
-from .field import INFINITY, BaseElement, _add, _mul, _power, _scale, _shift
+from .field import INFINITY, BaseElement, _add, _mul, _power, _scale, _shift, _Unreduced
 from .monoval import MultivariatePoly
 
 
@@ -182,13 +183,14 @@ def _taylor_at_one(by_exp: Mapping[int, dict]) -> dict[int, dict]:
 
 
 def min_term_value(valuations: Mapping[int, object], s):
-    """min_i (v_i + i*s), treating the i = 0 slope specially so s = inf works."""
-    best = INFINITY
-    for i, v in valuations.items():
-        term = v if i == 0 else v + i * s
-        if term < best:
-            best = term
-    return best
+    """min_i (v_i + i*s), compared as the integers q*(v_i + i*s) over the
+    least common denominator q of s and the v_i; at s = INFINITY only v_0."""
+    if s == INFINITY or not valuations:
+        return valuations.get(0, INFINITY)
+    q = math.lcm(s.denominator, *(v.denominator for v in valuations.values()))
+    step = s.numerator * (q // s.denominator)
+    terms = (v.numerator * (q // v.denominator) + i * step for i, v in valuations.items())
+    return Fraction(min(terms), q)
 
 
 # -- rigid points -------------------------------------------------------------
@@ -248,9 +250,10 @@ def flow_valuations(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
 
 
 def flow_expansion(bm: BasicModel, x: RigidPoint, f: MultivariatePoly):
-    """Nonzero Taylor coefficients c_i of the flow of f through a rigid point."""
+    """Nonzero Taylor coefficients c_i = P_i / D of the flow of f through a
+    rigid point, each reduced on first read; v(c_i) and bool(c_i) take no gcd."""
     numerators, den = _expanded(bm, x, f, _rigid_numerators)
-    return {i: BaseElement._make(p, den) for i, p in numerators.items()}
+    return {i: _Unreduced(p, den) for i, p in numerators.items()}
 
 
 def flow_value(bm: BasicModel, x: RigidPoint, s, f: MultivariatePoly):

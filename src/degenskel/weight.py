@@ -130,15 +130,6 @@ def _least_faces(model: ModelDescription, marked) -> dict[str, str | None]:
     return least
 
 
-def divisorial_weight(multiplicity: int, vertical_multiplicity: int, m: int) -> Fraction:
-    """Weight (nu + m)/N of the divisorial point of a component."""
-    if not isinstance(multiplicity, int) or multiplicity < 1:
-        raise ValidationError("component multiplicity must be a positive integer")
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError("pluricanonical level m must be a positive integer")
-    return Fraction(vertical_multiplicity + m, multiplicity)
-
-
 def _vertex_weights(
     model: ModelDescription, form: PluricanonicalForm
 ) -> dict[str, Fraction]:
@@ -157,7 +148,7 @@ def _vertex_weights(
     if problems:
         raise ValidationError(problems)
     table = {
-        c.id: divisorial_weight(c.multiplicity, form.vertical[c.id], form.m)
+        c.id: Fraction(form.vertical[c.id] + form.m, c.multiplicity)
         for c in model.components
     }
     object.__setattr__(form, "_weights", (model, table))

@@ -20,13 +20,12 @@ from degenskel import (
     ValidationError,
     WeightValue,
     build_complex,
-    divisorial_weight,
     form_problems,
     uniformizer,
     weight_at,
 )
 from degenskel.dualcomplex import _check_keys, _resolve_zeros
-from degenskel.field import _add, _mul, _scale, _shift
+from degenskel.field import _add, _mul, _scale, _shift, _Unreduced
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -364,6 +363,49 @@ def assert_matches_reference(x: BaseElement, ref: ReferenceElement):
     assert x.valuation() == ref.valuation()
 
 
+# each read is made as the first one on a fresh deferred element
+FIRST_READS = [
+    lambda c: c.valuation(),
+    bool,
+    hash,
+    str,
+    repr,
+    lambda c: (c._num, c._den),
+    lambda c: c + 1,
+    lambda c: 1 + c,
+    lambda c: c - Fraction(2, 3),
+    lambda c: Fraction(2, 3) - c,
+    lambda c: c * uniformizer(),
+    lambda c: uniformizer() * c,
+    lambda c: c / 3,
+    lambda c: -c,
+    lambda c: c**2,
+]
+NONZERO_READS = [lambda c: 3 / c, lambda c: c**-1, lambda c: c.inverse()]
+
+
+def assert_deferred_reads_as(num: dict, den: dict, *equal: BaseElement):
+    """_Unreduced(num, den) agrees with BaseElement._make(num, den) and each
+    element of equal on every read, ==, hashing as a dict key and mixed
+    arithmetic, each made first on a fresh deferred element."""
+    made = BaseElement._make(num, den)
+    reads = FIRST_READS + (NONZERO_READS if made else [])
+    for read in reads:
+        want = read(made)
+        assert read(_Unreduced(num, den)) == want, (num, den)
+        assert all(read(other) == want for other in equal)
+    for other in (made, *equal):
+        assert _Unreduced(num, den) == other
+        assert other == _Unreduced(num, den)
+        assert _Unreduced(num, den) != other + 1
+        assert {_Unreduced(num, den): 0}[other] == 0
+        assert {other: 0}[_Unreduced(num, den)] == 0
+    for result in (_Unreduced(num, den) + made, made * _Unreduced(num, den)):
+        assert type(result) is BaseElement
+    assert _Unreduced(num, den) - made == 0
+    assert _Unreduced(num, den) * _Unreduced(num, den) == made * made
+
+
 def random_expression(rng, depth=3) -> tuple[str, ReferenceElement]:
     """A random field-element expression in t with fractional coefficients
     and t in denominators, and its value in reference arithmetic."""
@@ -589,6 +631,17 @@ def reference_flow_expansion(bm: BasicModel, x, f: MultivariatePoly) -> dict:
     return out
 
 
+def reference_min_term_value(valuations: dict, s):
+    """min_i (v_i + i*s) by rational arithmetic term by term, treating the
+    i = 0 slope specially so s = inf works."""
+    best = INFINITY
+    for i, v in valuations.items():
+        term = v if i == 0 else v + i * s
+        if term < best:
+            best = term
+    return best
+
+
 def reference_monomial_valuations(bm: BasicModel, a1, a2, f: MultivariatePoly) -> dict:
     """v(c_i) for the flow of f through a monomial point, in canonical field
     arithmetic on {(p, q): BaseElement} dicts.
@@ -687,6 +740,15 @@ def brute_force_ks(model: ModelDescription, form: PluricanonicalForm, max_den=12
 # query validates the pair again and recomputes every divisorial weight it
 # needs, and the pseudo-manifold test scans all pairs of strata for maximal
 # faces.  Kept as slow, independent references for the seeded comparisons.
+
+
+def divisorial_weight(multiplicity: int, vertical_multiplicity: int, m: int) -> Fraction:
+    """Weight (nu + m)/N of the divisorial point of a component."""
+    if not isinstance(multiplicity, int) or multiplicity < 1:
+        raise ValidationError("component multiplicity must be a positive integer")
+    if not isinstance(m, int) or m < 1:
+        raise ValidationError("pluricanonical level m must be a positive integer")
+    return Fraction(vertical_multiplicity + m, multiplicity)
 
 
 def _reference_require_valid(model, form):

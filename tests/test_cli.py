@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import degenskel
-from degenskel import ModelDescription, PluricanonicalForm, build_complex, field
+from degenskel import BasicModel, ModelDescription, PluricanonicalForm, build_complex, field
 from degenskel.cli import main
-from helpers import FIXTURES
+from helpers import FIXTURES, random_poly, random_rigid_point
 
 
 def fx(name: str) -> str:
@@ -187,6 +189,37 @@ def test_flow_command_needs_no_gcd(capsys, monkeypatch):
         "value": "0",
         "terms": [{"i": 0, "vK": "0"}, {"i": 1, "vK": "1"}, {"i": 2, "vK": "1"}],
     }
+
+
+# sha256 of the stdout of every command of _flow_cli_commands(), taken
+# while flow_expansion still reduced each Taylor coefficient when built
+FLOW_CLI_DIGEST = "eb4a7c489c4aad0bece009215cfd8daa0910e40460672475f3affe6521b5d975"
+
+
+def _flow_cli_commands() -> list[list[str]]:
+    """Seeded flow commands: dense (T1+T2+c*t)^n and sparse f at random
+    rigid points, each at every time of 0, 1/2, 1, 5 and inf."""
+    rng = random.Random(1807)
+    commands = []
+    for n1, n2 in ((1, 1), (2, 1), (3, 1), (1, 2)):
+        bm = BasicModel(n1, n2)
+        for n in (2, 3):
+            x = random_rigid_point(rng, bm)
+            dense = f"(T1+T2+{rng.choice((-3, -1, 2, 5))}*t)^{n}"
+            sparse = repr(random_poly(rng, 2, max_terms=5))[len("MultivariatePoly("):-1]
+            for f in (dense, sparse):
+                for s in ("0", "1/2", "1", "5", "inf"):
+                    commands.append(["flow", str(n1), str(n2), str(x.x1), str(x.x2), s, f])
+    return commands
+
+
+def test_flow_cli_stdout_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _flow_cli_commands():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == FLOW_CLI_DIGEST
 
 
 def test_retract_command(capsys):
@@ -589,3 +622,27 @@ def test_stdout_is_utf8_in_the_c_locale(tmp_path):
     dot = build_complex(ModelDescription.from_dict(ACCENTED)).to_dot()
     assert proc.stdout == dot.encode("utf-8")
     assert '"E\u00e9"'.encode("utf-8") in proc.stdout
+
+
+# a JSON escape decodes to a lone surrogate, which UTF-8 cannot encode
+SURROGATE_COMPONENT = {"components": [{"id": "E\ud800", "multiplicity": 1}], "strata": []}
+SURROGATE_STRATUM = {
+    "components": [{"id": "E1", "multiplicity": 1}, {"id": "E2", "multiplicity": 1}],
+    "strata": [{"id": "C\udfff", "components": ["E1", "E2"]}],
+}
+
+
+@pytest.mark.parametrize("data, line, to_file", [
+    (SURROGATE_COMPONENT, r"error: component id 'E\ud800' is not valid UTF-8", False),
+    (SURROGATE_COMPONENT, r"error: component id 'E\ud800' is not valid UTF-8", True),
+    (SURROGATE_STRATUM, r"error: stratum id 'C\udfff' is not valid UTF-8", False),
+], ids=["component-stdout", "component-file", "stratum-stdout"])
+def test_lone_surrogate_id_exits_1(tmp_path, capsys, data, line, to_file):
+    model = tmp_path / "surrogate.json"
+    model.write_text(json.dumps(data), encoding="utf-8")
+    assert "\\u" in model.read_text(encoding="utf-8")
+    out_path = tmp_path / "out.dot"
+    argv = ["complex", str(model), "--dot"] + (["-o", str(out_path)] if to_file else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", line + "\n")
+    assert not out_path.exists()

@@ -7,6 +7,7 @@ from degenskel import (
     INFINITY,
     BaseElement,
     ValidationError,
+    field,
     parse_element,
     uniformizer,
 )
@@ -14,6 +15,7 @@ from degenskel.field import _canonical, _digits, _eval, _mul, _poly_gcd, _shift
 from helpers import (
     ReferenceElement,
     assert_canonical,
+    assert_deferred_reads_as,
     assert_matches_reference,
     prs_canonical,
     random_element,
@@ -281,3 +283,19 @@ def test_canonical_matches_prs_reference_sampled():
         assert _canonical(num, den) == expected
         reduced.add(max(expected[1]) < max(den) - min(den))
     assert reduced == {False, True}
+
+
+def test_deferred_form_reads_as_canonical_sampled():
+    # a canonical pair times a common factor with nonzero constant term and
+    # a signed integer content: the deferred form holds it unreduced
+    rng = random.Random(117)
+    for _ in range(150):
+        x = random_element(rng, allow_zero=True)
+        g = random_unit(rng)._num
+        g = {e: c * rng.choice((-6, -1, 1, 2, 15)) for e, c in g.items()}
+        num, den = _mul(x._num, g), _mul(x._den, g)
+        assert_deferred_reads_as(num, den, x)
+        deferred = field._Unreduced(num, den)
+        assert deferred.valuation() == x.valuation() and bool(deferred) == bool(x)
+        assert (deferred._num, deferred._den) == (x._num, x._den)
+        assert deferred._pair == (num, den)

