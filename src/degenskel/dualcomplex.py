@@ -45,17 +45,6 @@ class Stratum:
         return len(self.components) - 1
 
 
-def _normalize_components(components) -> list[Component]:
-    out = []
-    for item in components:
-        if isinstance(item, Component):
-            out.append(item)
-        else:
-            cid, mult = item
-            out.append(Component(str(cid), mult))
-    return out
-
-
 def _is_id_list(value) -> bool:
     """Whether a JSON value is an array of string ids."""
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
@@ -64,18 +53,12 @@ def _is_id_list(value) -> bool:
 def _synthesize(components: list[Component], strata) -> list[Stratum]:
     """Build each stratum once, with vertex strata and unambiguous faces filled in.
 
-    Strata come as Stratum objects or (id, components, faces) triples.
-    Components without a declared vertex stratum get one whose id is the
-    component id.  A missing face entry is filled exactly when a unique
-    stratum over the reduced component set exists; anything else is left for
-    validation to report.
+    Strata come as (id, components, faces) triples.  Components without a
+    declared vertex stratum get one whose id is the component id.  A missing
+    face entry is filled exactly when a unique stratum over the reduced
+    component set exists; anything else is left for validation to report.
     """
-    rows = [
-        (s.id, s.components, s.faces)
-        if isinstance(s, Stratum)
-        else (str(s[0]), frozenset(s[1]), s[2] or {})
-        for s in strata
-    ]
+    rows = [(str(sid), frozenset(comps), faces or {}) for sid, comps, faces in strata]
     stratum_ids = {sid for sid, _, _ in rows}
     covered = {next(iter(comps)) for _, comps, _ in rows if len(comps) == 1}
     for comp in components:
@@ -200,7 +183,8 @@ def _model_problems(components: list[Component], strata: list[Stratum]):
 
 
 class ModelDescription:
-    """Validated combinatorial description of an sncd model.
+    """Validated combinatorial description of an sncd model, built from
+    (id, multiplicity) pairs and (id, components, faces) triples.
 
     Vertex strata and unambiguous face entries may be omitted from the
     input; they are synthesized before validation (a synthesized vertex
@@ -209,7 +193,7 @@ class ModelDescription:
     """
 
     def __init__(self, components: Iterable, strata: Iterable = ()):
-        comps = _normalize_components(components)
+        comps = [Component(str(cid), mult) for cid, mult in components]
         full = _synthesize(comps, strata)
         problems, self._components, self._strata, self._vertex_of, faces = (
             _model_problems(comps, full)

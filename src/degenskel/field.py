@@ -100,8 +100,10 @@ def _scale(p: Coeffs, c) -> Coeffs:
 
 
 def _power(p: Coeffs, n: int) -> Coeffs:
-    out: Coeffs = {0: 1}
-    for bit in bin(n)[2:]:  # left-to-right binary powering
+    if not n:
+        return {0: 1}
+    out = dict(p)  # the leading bit; a copy, so p^1 is never p itself
+    for bit in bin(n)[3:]:  # left-to-right binary powering
         out = _mul(_mul(out, out), p) if bit == "1" else _mul(out, out)
     return out
 

@@ -128,11 +128,13 @@ class RigidPoint:
 
 
 def _check_flow_time(s):
-    if s == INFINITY:
-        return INFINITY
-    if isinstance(s, float):
+    """s as a Fraction (one passed in is returned as it is), or INFINITY."""
+    if isinstance(s, float):  # tested first: a Fraction == float test is slow
+        if s == INFINITY:
+            return INFINITY
         raise ValidationError("flow time must be an exact rational or INFINITY")
-    s = Fraction(s)
+    if not isinstance(s, Fraction):
+        s = Fraction(s)
     if s < 0:
         raise ValidationError("flow time must be nonnegative")
     return s
@@ -185,7 +187,7 @@ def _taylor_at_one(by_exp: Mapping[int, dict]) -> dict[int, dict]:
 def min_term_value(valuations: Mapping[int, object], s):
     """min_i (v_i + i*s), compared as the integers q*(v_i + i*s) over the
     least common denominator q of s and the v_i; at s = INFINITY only v_0."""
-    if s == INFINITY or not valuations:
+    if isinstance(s, float) or not valuations:  # a checked float time is INFINITY
         return valuations.get(0, INFINITY)
     q = math.lcm(s.denominator, *(v.denominator for v in valuations.values()))
     step = s.numerator * (q // s.denominator)

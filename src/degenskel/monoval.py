@@ -29,7 +29,8 @@ class MultivariatePoly:
     """Polynomial in T_1..T_r with coefficients in the base field.
 
     Stored sparsely as a map from exponent tuples (length r, nonnegative
-    integers) to nonzero coefficients.  Immutable by convention.
+    integers) to nonzero coefficients.  Immutable by convention.  Only the
+    constructor checks terms: every other builder makes canonical ones.
     """
 
     __slots__ = ("arity", "terms")
@@ -66,7 +67,9 @@ class MultivariatePoly:
 
     @classmethod
     def constant(cls, arity: int, value) -> MultivariatePoly:
-        return cls(arity, {(0,) * arity: value})
+        if isinstance(value, BaseElement) and isinstance(arity, int) and arity >= 0:
+            return cls._of(arity, {(0,) * arity: value} if value else {})
+        return cls(arity, {(0,) * arity: value})  # checks the arity and value
 
     @classmethod
     def variable(cls, index: int, arity: int) -> MultivariatePoly:
@@ -74,7 +77,7 @@ class MultivariatePoly:
         if not 1 <= index <= arity:
             raise ValidationError(f"variable T{index} out of range for arity {arity}")
         exps = tuple(1 if i == index - 1 else 0 for i in range(arity))
-        return cls(arity, {exps: 1})
+        return cls._of(arity, {exps: BaseElement._of({0: 1}, {0: 1})})
 
     @classmethod
     def monomial(cls, arity: int, exps: Sequence[int], coeff=1) -> MultivariatePoly:
@@ -144,7 +147,11 @@ class MultivariatePoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValidationError("polynomial powers must be nonnegative integers")
-        result = MultivariatePoly.constant(self.arity, 1)
+        if len(self.terms) == 1:
+            # (c*T^e)^n = c^n * T^(n*e), and a power of a reduced c stays reduced
+            [(exps, c)] = self.terms.items()
+            return MultivariatePoly._of(self.arity, {tuple(n * e for e in exps): c**n})
+        result = MultivariatePoly.constant(self.arity, BaseElement._of({0: 1}, {0: 1}))
         for _ in range(n):
             result = result * self
         return result

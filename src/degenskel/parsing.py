@@ -6,7 +6,8 @@ variables T1..Tr with nonnegative integer exponents, e.g. "t + T1*T2^2".
 Parsing is exact: no decimals are accepted.  A value is a BaseElement of
 Q(t) until a T-variable appears, and only then a MultivariatePoly.  A divisor
 or a negative-power base must be a BaseElement, so one written with a
-T-variable is rejected, even if the variables cancel.
+T-variable is rejected, even if the variables cancel.  Literals, t and T_k
+are built in canonical form, unchecked; each operation reduces as it goes.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .errors import ValidationError, _shown
-from .field import INFINITY, BaseElement, uniformizer
+from .field import INFINITY, BaseElement
 from .flow import _check_flow_time
 from .monoval import MultivariatePoly
 
@@ -110,9 +111,10 @@ class _Parser:
                 raise ValidationError(f"unbalanced parentheses in {self.shown}")
             return value
         if tok == "t":
-            return uniformizer()
+            return BaseElement._of({1: 1}, {0: 1})
         if tok.isdigit():
-            return BaseElement(_integer(tok))
+            n = _integer(tok)
+            return BaseElement._of({0: n} if n else {}, {0: 1})
         m = _VARIABLE.fullmatch(tok)
         if m:
             index = _integer(m.group(1))

@@ -516,6 +516,15 @@ def random_poly(rng, arity, max_terms=4, max_exp=3) -> MultivariatePoly:
     return MultivariatePoly(arity, terms)
 
 
+def reference_power(f: MultivariatePoly, n: int) -> MultivariatePoly:
+    """f**n as n products starting from the constant 1: the loop that the
+    one-term power replaced, and still the power of every other polynomial."""
+    result = MultivariatePoly.constant(f.arity, 1)
+    for _ in range(n):
+        result = result * f
+    return result
+
+
 def reference_poly_product(f: MultivariatePoly, g: MultivariatePoly) -> dict:
     """Terms of f * g summed term by term in canonical field arithmetic, so
     every coefficient product and partial sum is a reduced BaseElement;

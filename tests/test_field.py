@@ -11,7 +11,7 @@ from degenskel import (
     parse_element,
     uniformizer,
 )
-from degenskel.field import _canonical, _digits, _eval, _mul, _poly_gcd, _shift
+from degenskel.field import _canonical, _digits, _eval, _mul, _poly_gcd, _power, _shift
 from helpers import (
     ReferenceElement,
     assert_canonical,
@@ -299,3 +299,16 @@ def test_deferred_form_reads_as_canonical_sampled():
         assert deferred.valuation() == x.valuation() and bool(deferred) == bool(x)
         assert (deferred._num, deferred._den) == (x._num, x._den)
         assert deferred._pair == (num, den)
+
+
+def test_power_matches_repeated_products():
+    # Laurent numerators, a one-term and a zero polynomial; p^1 is a copy
+    rng = random.Random(118)
+    polys = [{}, {0: 1}, {-3: -2}, {2: 5, 7: -1}]
+    polys += [random_element(rng)._num for _ in range(6)]
+    for p in polys:
+        expected = {0: 1}
+        for n in range(21):
+            assert _power(p, n) == expected, (p, n)
+            expected = _mul(expected, p)
+        assert _power(p, 1) is not p

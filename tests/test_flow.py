@@ -479,6 +479,10 @@ def test_parse_flow_time():
     assert parse_flow_time(" inf ") == INFINITY
     assert parse_flow_time("7/2") == Fraction(7, 2)
     assert parse_flow_time("0") == 0
+    # one Fraction per time: a checked Fraction is passed on as it is
+    s = parse_flow_time("7/2")
+    assert flow._check_flow_time(s) is s
+    assert flow._check_flow_time(float("inf")) is INFINITY
     with pytest.raises(ValidationError, match="flow time must be nonnegative"):
         parse_flow_time("-1/3")
     for text in ("abc", "1/0", "-inf"):

@@ -21,6 +21,7 @@ from helpers import (
     random_poly,
     random_weights,
     reference_poly_product,
+    reference_power,
 )
 
 
@@ -151,6 +152,8 @@ def test_polynomial_parser_rejects_bad_input():
         parse_polynomial("T3", arity=2)
     with pytest.raises(ValidationError):
         parse_polynomial("0.5*T1")
+    with pytest.raises(ValidationError, match="arity must be a nonnegative"):
+        parse_polynomial("t", arity=-1)
 
 
 def test_arithmetic_builds_no_validated_polynomial(monkeypatch):
@@ -250,3 +253,34 @@ def test_product_examples():
     assert (f * g).terms == {(2,): -t * (2 - t) / (1 + t) ** 2, (0,): t / (2 - t)}
     h = parse_polynomial("(T1 + 1/2)*(T1 - 1/2)", arity=1)
     assert h.terms == {(2,): one, (0,): BaseElement(Fraction(-1, 4))}
+
+
+def test_one_term_power_matches_repeated_products_sampled(monkeypatch):
+    # coefficients with t in denominators and negative valuations; a
+    # one-term power takes no product, any other power n of them
+    rng = random.Random(74)
+    cases = []
+    for arity in (1, 2, 3):
+        for _ in range(6):
+            exps = tuple(rng.randint(0, 3) for _ in range(arity))
+            cases.append(MultivariatePoly(arity, {exps: random_element(rng)}))
+        cases += [MultivariatePoly(arity), random_poly(rng, arity, max_terms=3, max_exp=1)]
+    expected = [
+        (f, n, reference_power(f, n))
+        for f in cases
+        for n in range(13 if len(f.terms) <= 1 else 5)
+    ]
+    products = []
+    mul = MultivariatePoly.__mul__
+    monkeypatch.setattr(
+        MultivariatePoly, "__mul__", lambda f, g: products.append(1) or mul(f, g)
+    )
+    for f, n, want in expected:
+        products.clear()
+        got = f**n
+        assert got == want, (f, n)
+        for c in got.terms.values():
+            assert_canonical(c)
+        assert len(products) == (0 if len(f.terms) == 1 else n)
+    big = parse_polynomial("T1^5000*T2^3000")
+    assert big.terms == {(5000, 3000): BaseElement(1)}

@@ -56,14 +56,23 @@ def _outcome(parse, text) -> str:
 
 
 def _parser_outputs() -> list[str]:
+    # every generated text is valid, and its value is also checked against
+    # the same expression tree in reference arithmetic
     rng = random.Random(2024)
     lines = []
     for _ in range(1000):
-        text, _ = random_expression(rng)
-        lines += [text, _outcome(parse_element, text), _outcome(parse_polynomial, text)]
+        text, value = random_expression(rng)
+        x = parse_element(text)
+        assert_matches_reference(x, value)
+        lines += [text, str(x), _outcome(parse_polynomial, text)]
     for _ in range(1000):
-        text, _ = random_poly_expression(rng)
-        lines += [text, _outcome(parse_polynomial, text)]
+        text, terms = random_poly_expression(rng)
+        f = parse_polynomial(text)
+        padded = f.with_arity(3).terms
+        assert padded.keys() == terms.keys(), text
+        for exps, coeff in padded.items():
+            assert_matches_reference(coeff, terms[exps])
+        lines += [text, f"{f.arity} {f!r}"]
     for text in MALFORMED:
         assert len(repr(text)) <= 80
         lines += [text, _outcome(parse_element, text), _outcome(parse_polynomial, text)]
@@ -73,7 +82,14 @@ def _parser_outputs() -> list[str]:
     return lines
 
 
-def test_parser_outputs_are_pinned():
+def test_parser_outputs_are_pinned(monkeypatch):
+    # literals, t, variables and constants are built in canonical form, so
+    # parsing never runs a checking constructor
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} checked a parsed value")
+
+    monkeypatch.setattr(BaseElement, "__init__", refuse)
+    monkeypatch.setattr(MultivariatePoly, "__init__", refuse)
     lines = _parser_outputs()
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PARSER_DIGEST

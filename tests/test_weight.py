@@ -418,9 +418,10 @@ def test_pseudomanifold_matches_reference_on_subcomplexes():
     cycles = build_complex(two_cycles())
     named.append(Subcomplex(cycles, {s.id for s in cycles.model.strata}))
     sphere = load_model("kulikov_k3.json")
-    with_point = build_complex(
-        ModelDescription([*sphere.components, ("E5", 1)], sphere.strata)
-    )
+    with_point = build_complex(ModelDescription(
+        [*((c.id, c.multiplicity) for c in sphere.components), ("E5", 1)],
+        [(s.id, s.components, s.faces) for s in sphere.strata],
+    ))
     # a closed 2-sphere plus an isolated vertex: not pure, two dimensions down
     named.append(Subcomplex(with_point, {s.id for s in with_point.model.strata}))
     expected = [True, False, False, False, True, False, False, False, False]
