@@ -14,7 +14,8 @@ clears their denominators once, and leave only in rendering, so all
 arithmetic runs on Python ints.  The flow's Taylor coefficients come in a
 deferred form, _Unreduced, whose invariant is weaker: den is a polynomial
 with nonzero constant term, so v = min(num) with no reduction; the pair is
-reduced to the canonical one on first read.
+reduced to the canonical one on first read.  Sums are unreduced pairs
+from _pair_add, reduced once by the caller.
 
 Reduction takes one heuristic gcd: the integer gcd of both sides at a
 large x, read back as a polynomial off its base-x digits, with both
@@ -93,6 +94,16 @@ def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
             else:
                 out.pop(e, None)
     return out
+
+
+def _pair_add(a: tuple[Coeffs, Coeffs], b: tuple[Coeffs, Coeffs]) -> tuple[Coeffs, Coeffs]:
+    """The unreduced sum of the integer pairs a = (num, den) and b: the
+    numerators add over an equal denominator, else the pairs cross-multiply.
+    No gcd is taken."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return _add(an, bn), ad
+    return _add(_mul(an, bd), _mul(bn, ad)), _mul(ad, bd)
 
 
 def _scale(p: Coeffs, c) -> Coeffs:
@@ -248,8 +259,7 @@ class BaseElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _add(_mul(self._num, o._den), _mul(o._num, self._den))
-        return BaseElement._make(num, _mul(self._den, o._den))
+        return BaseElement._make(*_pair_add((self._num, self._den), (o._num, o._den)))
 
     __radd__ = __add__
 
@@ -263,10 +273,7 @@ class BaseElement:
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)

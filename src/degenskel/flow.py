@@ -41,7 +41,7 @@ from typing import Mapping
 
 from .dualcomplex import ModelDescription, MonomialPointData
 from .errors import ValidationError
-from .field import INFINITY, BaseElement, _add, _mul, _power, _scale, _shift, _Unreduced
+from .field import INFINITY, BaseElement, _add, _mul, _pair_add, _power, _scale, _shift, _Unreduced
 from .monoval import MultivariatePoly
 
 
@@ -142,9 +142,9 @@ def _check_flow_time(s):
 
 def _diagonals(bm: BasicModel, f: MultivariatePoly) -> dict[tuple[int, int], tuple]:
     """f by flow diagonal: {(i, j): (num, den)}, with (i, j) the diagonal's
-    least term in f and num/den the unreduced sum of its d * t^l.  den is a
+    least term in f and num/den the _pair_add sum of its d * t^l.  den is a
     product of canonical denominators (positive constant term, so v(sum) =
-    min(num)) and no gcd is taken; diagonals whose sum cancels are dropped."""
+    min(num)); diagonals whose sum cancels are dropped."""
     if f.arity > 2:
         raise ValidationError("flow evaluation needs a polynomial in T1, T2")
     sums: dict[tuple[int, int], tuple] = {}
@@ -152,12 +152,7 @@ def _diagonals(bm: BasicModel, f: MultivariatePoly) -> dict[tuple[int, int], tup
         l = i // bm.n1
         key = (i - l * bm.n1, j - l * bm.n2)
         ij, l0, num, den = sums.get(key, ((i, j), l, {}, d._den))
-        n = _shift(d._num, l - l0)
-        if den == d._den:
-            num = _add(num, n)
-        else:
-            num, den = _add(_mul(num, d._den), _mul(n, den)), _mul(den, d._den)
-        sums[key] = (ij, l0, num, den)
+        sums[key] = (ij, l0, *_pair_add((num, den), (_shift(d._num, l - l0), d._den)))
     return {ij: (num, den) for ij, _, num, den in sums.values() if num}
 
 
@@ -174,11 +169,8 @@ def _taylor_at_one(by_exp: Mapping[int, dict]) -> dict[int, dict]:
     dense = {k + shift: v for k, v in by_exp.items()}
     out = {}
     for i in range(max(dense) + 1):
-        acc = None
-        for k, coeff in dense.items():
-            if k >= i:
-                term = _scale(coeff, math.comb(k, i))
-                acc = term if acc is None else _add(acc, term)
+        # never empty: k = max(dense) >= i
+        acc = reduce(_add, (_scale(c, math.comb(k, i)) for k, c in dense.items() if k >= i))
         if acc:
             out[i] = acc
     return out

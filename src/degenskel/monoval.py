@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
-from .field import INFINITY, BaseElement, _add, _mul
+from .field import INFINITY, BaseElement, _mul, _pair_add, _power
 
 
 class MultivariatePoly:
@@ -125,19 +126,12 @@ class MultivariatePoly:
         if not isinstance(other, MultivariatePoly):
             return NotImplemented
         self._check_arity(other)
-        # sum each coefficient as an unreduced integer pair; reduce it once
         acc: dict[tuple[int, ...], tuple[dict, dict]] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                num, den = _mul(ca._num, cb._num), _mul(ca._den, cb._den)
-                if e in acc:
-                    n, d = acc[e]
-                    if d == den:
-                        num = _add(n, num)
-                    else:
-                        num, den = _add(_mul(n, den), _mul(num, d)), _mul(d, den)
-                acc[e] = (num, den)
+                pair = (_mul(ca._num, cb._num), _mul(ca._den, cb._den))
+                acc[e] = _pair_add(acc[e], pair) if e in acc else pair
         return MultivariatePoly._of(self.arity, {
             e: BaseElement._make(num, den) for e, (num, den) in acc.items() if num
         })
@@ -151,25 +145,31 @@ class MultivariatePoly:
             # (c*T^e)^n = c^n * T^(n*e), and a power of a reduced c stays reduced
             [(exps, c)] = self.terms.items()
             return MultivariatePoly._of(self.arity, {tuple(n * e for e in exps): c**n})
-        result = MultivariatePoly.constant(self.arity, BaseElement._of({0: 1}, {0: 1}))
-        for _ in range(n):
-            result = result * self
-        return result
+        one = MultivariatePoly.constant(self.arity, BaseElement._of({0: 1}, {0: 1}))
+        return reduce(MultivariatePoly.__mul__, [self] * n, one)
 
     def evaluate(self, values: Sequence[BaseElement]) -> BaseElement:
-        """Substitute base-field values for the variables."""
+        """Substitute base-field values (ints and Fractions too) for the
+        variables, reducing once.  With top_k the largest exponent of T_k, a
+        term c * T^e is the integer pair c_num * prod num(v_k)^e_k *
+        den(v_k)^(top_k - e_k) over c_den; the pairs are summed by _pair_add,
+        and the sum over prod den(v_k)^top_k is reduced by one _make."""
         if len(values) != self.arity:
             raise ValidationError(
                 f"arity mismatch: expected {self.arity} values, got {len(values)}"
             )
-        total = BaseElement(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
+        tables, den = [], {0: 1}  # tables[k][e] = num(v_k)^e * den(v_k)^(top_k - e)
+        for v, top in zip(values, map(max, zip(*self.terms))):
+            v = v if isinstance(v, BaseElement) else BaseElement(v)
+            tables.append([_mul(_power(v._num, e), _power(v._den, top - e))
+                           for e in range(top + 1)])
+            den = _mul(den, _power(v._den, top))
+        terms = (
+            (reduce(_mul, (t[e] for t, e in zip(tables, exps)), c._num), c._den)
+            for exps, c in self.terms.items()
+        )
+        num, d = reduce(_pair_add, terms, ({}, {0: 1}))
+        return BaseElement._make(num, _mul(d, den))
 
     def with_arity(self, arity: int) -> MultivariatePoly:
         """Pad with unused trailing variables up to the requested arity."""

@@ -537,6 +537,20 @@ def reference_poly_product(f: MultivariatePoly, g: MultivariatePoly) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def reference_evaluate(f: MultivariatePoly, values) -> BaseElement:
+    """f(values) term by term in canonical field arithmetic, so every power,
+    product and partial sum is a reduced BaseElement; reference for the
+    evaluation that sums unreduced pairs and reduces once."""
+    total = BaseElement(0)
+    for exps, coeff in f.terms.items():
+        term = coeff
+        for v, e in zip(values, exps):
+            if e:
+                term = term * v**e
+        total = total + term
+    return total
+
+
 def random_weights(rng, arity, allow_zero=True) -> MonomialWeights:
     lo = 0 if allow_zero else 1
     return MonomialWeights(

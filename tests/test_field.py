@@ -151,11 +151,19 @@ def test_integer_form_matches_fraction_reference_sampled():
     # the integer pair against the Fraction-based form it replaced, on the
     # same input data; every result must also be in integer canonical form
     rng = random.Random(606)
+    t, rt = uniformizer(), ReferenceElement({1: 1})
+    shared = 0
     for _ in range(300):
         data = [random_element_data(rng, allow_zero=True) for _ in range(2)]
         a, b = (BaseElement(*d) for d in data)
         ra, rb = (ReferenceElement(*d) for d in data)
         results = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb)]
+        # t*a - 1 and a + 2 keep a's denominator, so these sums add
+        # numerators over one shared denominator
+        u, v, ru, rv = a * t - 1, a + 2, ra * rt - 1, ra + 2
+        assert u._den == v._den == a._den
+        shared += len(a._den) > 1
+        results += [(a + u, ra + ru), (u + v, ru + rv), (v - a, rv - ra), (u - v, ru - rv)]
         results += [(a * b, ra * rb), (-a, -ra), (a + 1, ra + 1)]
         results += [(a * Fraction(-2, 3), ra * Fraction(-2, 3))]
         n = rng.randint(-3, 4) if a else rng.randint(0, 4)
@@ -167,6 +175,7 @@ def test_integer_form_matches_fraction_reference_sampled():
         for x, rx in results:
             assert_matches_reference(x, rx)
         assert (a == b) == (ra == rb)
+    assert shared > 150
 
 
 def test_parser_matches_fraction_reference_sampled():

@@ -11,6 +11,7 @@ from degenskel import (
     MonomialWeights,
     MultivariatePoly,
     ValidationError,
+    flow_expansion,
     monomial_valuation,
     parse_polynomial,
     uniformizer,
@@ -19,7 +20,9 @@ from helpers import (
     assert_canonical,
     random_element,
     random_poly,
+    random_rigid_point,
     random_weights,
+    reference_evaluate,
     reference_poly_product,
     reference_power,
 )
@@ -203,6 +206,74 @@ def test_evaluate_substitution():
     f = parse_polynomial("T1^2 + t*T2")
     x1, x2 = random_element(rng), random_element(rng)
     assert f.evaluate([x1, x2]) == x1 * x1 + t * x2
+
+
+def test_evaluate_matches_termwise_reference_sampled():
+    # one reduction of the summed pairs must give the canonical element that
+    # reducing after every power, product and sum gives
+    rng = random.Random(76)
+    bm = BasicModel(1, 2)
+    seen = dict.fromkeys(("zero", "negative", "t_den", "unreduced", "rational"), 0)
+    for _ in range(300):
+        arity = rng.randint(0, 3)
+        f = random_poly(rng, arity, max_terms=5, max_exp=3)
+        values = [random_element(rng, allow_zero=True) for _ in range(arity)]
+        kind = rng.randrange(4)
+        if kind == 0:
+            # f * (T1 - v1): a nonzero polynomial whose terms cancel at values
+            f = MultivariatePoly(arity) if not arity else f * (
+                MultivariatePoly.variable(1, arity) - values[0]
+            )
+        elif kind == 1 and arity:
+            # Taylor coefficients of a flow, still unreduced pairs
+            x = random_rigid_point(rng, bm)
+            g = random_poly(rng, 2, max_terms=4, max_exp=3)
+            fresh = [list(flow_expansion(bm, x, g).values()) for _ in range(2)]
+            if len(fresh[0]) >= arity:
+                pick = rng.sample(range(len(fresh[0])), arity)
+                values = [fresh[0][i] for i in pick]
+                ref_values = [fresh[1][i] for i in pick]
+                assert all(type(v) is field._Unreduced for v in values)
+                assert f.evaluate(values) == reference_evaluate(f, ref_values)
+                seen["unreduced"] += 1
+                continue
+        elif kind == 2:
+            values = [rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 7)))
+                      for _ in range(arity)]
+            seen["rational"] += arity > 0
+        got = f.evaluate(values)
+        assert got == reference_evaluate(f, values), (f, values)  # so canonical too
+        seen["zero"] += not got
+        seen["negative"] += any(
+            isinstance(v, BaseElement) and v.valuation() < 0 for v in values
+        )
+        seen["t_den"] += any(
+            isinstance(v, BaseElement) and len(v._den) > 1 for v in values
+        )
+    assert all(n >= 20 for n in seen.values()), seen
+    assert MultivariatePoly(2).evaluate([1, 2]) == BaseElement(0)
+    assert MultivariatePoly.constant(0, Fraction(1, 3)).evaluate([]) == Fraction(1, 3)
+
+
+def test_evaluate_reduces_once(monkeypatch):
+    # the terms are summed as unreduced pairs over one common denominator:
+    # at most one gcd, where the termwise loop takes one per product and sum
+    t = uniformizer()
+    x = (t / (1 + t), 1 + t)  # a rigid point of T1 * T2 = t
+    cases = [(parse_polynomial("(T1+T2+3*t)^4 + T1^3/(1+t)"), x)]
+    rng = random.Random(77)
+    for arity in (1, 2, 3):
+        for _ in range(10):
+            values = [random_element(rng) for _ in range(arity)]
+            cases.append((random_poly(rng, arity, max_terms=5, max_exp=3), values))
+    expected = [reference_evaluate(f, values) for f, values in cases]
+    calls = []
+    gcd = field._poly_gcd
+    monkeypatch.setattr(field, "_poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    for (f, values), want in zip(cases, expected):
+        calls.clear()
+        assert f.evaluate(values) == want
+        assert len(calls) <= 1, (f, values, len(calls))
 
 
 def test_product_matches_termwise_reference_sampled():
