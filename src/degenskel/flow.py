@@ -169,8 +169,11 @@ def _taylor_at_one(by_exp: Mapping[int, dict]) -> dict[int, dict]:
     dense = {k + shift: v for k, v in by_exp.items()}
     out = {}
     for i in range(max(dense) + 1):
-        # never empty: k = max(dense) >= i
-        acc = reduce(_add, (_scale(c, math.comb(k, i)) for k, c in dense.items() if k >= i))
+        acc = None
+        for k, coeff in dense.items():
+            if k >= i:
+                term = _scale(coeff, math.comb(k, i))
+                acc = term if acc is None else _add(acc, term)
         if acc:
             out[i] = acc
     return out

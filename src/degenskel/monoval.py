@@ -145,31 +145,39 @@ class MultivariatePoly:
             # (c*T^e)^n = c^n * T^(n*e), and a power of a reduced c stays reduced
             [(exps, c)] = self.terms.items()
             return MultivariatePoly._of(self.arity, {tuple(n * e for e in exps): c**n})
-        one = MultivariatePoly.constant(self.arity, BaseElement._of({0: 1}, {0: 1}))
-        return reduce(MultivariatePoly.__mul__, [self] * n, one)
+        result = MultivariatePoly.constant(self.arity, BaseElement._of({0: 1}, {0: 1}))
+        for _ in range(n):
+            result = result * self
+        return result
 
     def evaluate(self, values: Sequence[BaseElement]) -> BaseElement:
         """Substitute base-field values (ints and Fractions too) for the
-        variables, reducing once.  With top_k the largest exponent of T_k, a
-        term c * T^e is the integer pair c_num * prod num(v_k)^e_k *
-        den(v_k)^(top_k - e_k) over c_den; the pairs are summed by _pair_add,
-        and the sum over prod den(v_k)^top_k is reduced by one _make."""
+        variables.  With top_k the largest exponent of T_k, a term c * T^e is
+        the pair c_num * prod num(v_k)^e_k * den(v_k)^(top_k - e_k) over c_den,
+        and f(v) is their sum over prod den(v_k)^top_k.  _pair_add sums the
+        pairs, but a product of distinct c_den in t would grow with each: the
+        sum is reduced at each such c_den after the first, and once at the end."""
         if len(values) != self.arity:
             raise ValidationError(
                 f"arity mismatch: expected {self.arity} values, got {len(values)}"
             )
         tables, den = [], {0: 1}  # tables[k][e] = num(v_k)^e * den(v_k)^(top_k - e)
-        for v, top in zip(values, map(max, zip(*self.terms))):
-            v = v if isinstance(v, BaseElement) else BaseElement(v)
-            tables.append([_mul(_power(v._num, e), _power(v._den, top - e))
-                           for e in range(top + 1)])
+        for v, col in zip(values, zip(*self.terms)):
+            v, top = v if isinstance(v, BaseElement) else BaseElement(v), max(col)
+            tables.append({e: _mul(_power(v._num, e), _power(v._den, top - e))
+                           for e in set(col)})
             den = _mul(den, _power(v._den, top))
-        terms = (
-            (reduce(_mul, (t[e] for t, e in zip(tables, exps)), c._num), c._den)
-            for exps, c in self.terms.items()
-        )
-        num, d = reduce(_pair_add, terms, ({}, {0: 1}))
-        return BaseElement._make(num, _mul(d, den))
+        groups = {None: ({}, {0: 1})}  # c_den -> summed pair; integer c_den first
+        for exps, c in self.terms.items():
+            key = frozenset(c._den.items()) if len(c._den) > 1 else None
+            pair = (reduce(_mul, (t[e] for t, e in zip(tables, exps)), c._num), c._den)
+            groups[key] = _pair_add(groups[key], pair) if key in groups else pair
+        pairs = iter(groups.values())
+        acc = _pair_add(next(pairs), next(pairs, ({}, {0: 1})))
+        for pair in pairs:
+            s = BaseElement._make(*acc)
+            acc = _pair_add((s._num, s._den), pair)
+        return BaseElement._make(acc[0], _mul(acc[1], den))
 
     def with_arity(self, arity: int) -> MultivariatePoly:
         """Pad with unused trailing variables up to the requested arity."""

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from degenskel import (
     INFINITY,
     field,
+    monoval,
     BaseElement,
     BasicModel,
     MonomialWeights,
@@ -20,6 +22,7 @@ from helpers import (
     assert_canonical,
     random_element,
     random_poly,
+    random_poly_t,
     random_rigid_point,
     random_weights,
     reference_evaluate,
@@ -255,25 +258,83 @@ def test_evaluate_matches_termwise_reference_sampled():
     assert MultivariatePoly.constant(0, Fraction(1, 3)).evaluate([]) == Fraction(1, 3)
 
 
+def _count_gcd_calls(monkeypatch) -> list:
+    """Patch field._poly_gcd to record the degrees of its two inputs."""
+    calls, gcd = [], field._poly_gcd
+    monkeypatch.setattr(
+        field, "_poly_gcd", lambda a, b: calls.append((max(a), max(b))) or gcd(a, b)
+    )
+    return calls
+
+
 def test_evaluate_reduces_once(monkeypatch):
-    # the terms are summed as unreduced pairs over one common denominator:
-    # at most one gcd, where the termwise loop takes one per product and sum
+    # terms over one coefficient denominator, or over integer ones, are summed
+    # as unreduced pairs: one gcd, where the termwise loop takes one per
+    # product and sum; each further t-dependent denominator adds one
     t = uniformizer()
     x = (t / (1 + t), 1 + t)  # a rigid point of T1 * T2 = t
     cases = [(parse_polynomial("(T1+T2+3*t)^4 + T1^3/(1+t)"), x)]
     rng = random.Random(77)
     for arity in (1, 2, 3):
-        for _ in range(10):
-            values = [random_element(rng) for _ in range(arity)]
-            cases.append((random_poly(rng, arity, max_terms=5, max_exp=3), values))
+        for _ in range(20):
+            f = random_poly(rng, arity, max_terms=5, max_exp=3)
+            if rng.random() < 0.5:
+                # integer coefficient denominators and one over t
+                d = random_element(rng)
+                f = MultivariatePoly(arity, {
+                    e: c._num[max(c._num)] * t ** min(c._num) / rng.choice((d, 3, 1))
+                    for e, c in f.terms.items()
+                })
+            cases.append((f, [random_element(rng) for _ in range(arity)]))
     expected = [reference_evaluate(f, values) for f, values in cases]
-    calls = []
-    gcd = field._poly_gcd
-    monkeypatch.setattr(field, "_poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    calls = _count_gcd_calls(monkeypatch)
+    single = 0
     for (f, values), want in zip(cases, expected):
         calls.clear()
         assert f.evaluate(values) == want
-        assert len(calls) <= 1, (f, values, len(calls))
+        k = len({frozenset(c._den.items()) for c in f.terms.values() if len(c._den) > 1})
+        assert len(calls) <= max(1, k), (f, values, len(calls))
+        single += k <= 1
+    assert single >= 20
+
+
+def test_evaluate_keeps_the_common_denominator_small(monkeypatch):
+    # nearly every term of (T1 + T2/3 + t/(2+t))^20 has its own coefficient
+    # denominator 3^b (2+t)^c: summed over their product, the pair would
+    # reach t-degree ~1,500, where their lcm and the values' keep it under 100
+    t = uniformizer()
+    x = (t / (1 + t), 1 + t)
+    f = parse_polynomial("(T1+T2/3+t/(2+t))^20")
+    start = time.perf_counter()
+    want = reference_evaluate(f, x)
+    reference_s = time.perf_counter() - start
+    calls = _count_gcd_calls(monkeypatch)
+    start = time.perf_counter()
+    assert f.evaluate(x) == want
+    assert time.perf_counter() - start < 4 * reference_s
+    assert max(map(max, calls)) < 100
+
+
+def test_evaluate_sparse_high_powers_sampled(monkeypatch):
+    # a few high exponents at values with t in their denominators: each side
+    # of v_k is powered once per exponent of T_k that occurs, and den(v_k)
+    # once more for the common denominator
+    rng = random.Random(78)
+    calls, power = [], monoval._power
+    monkeypatch.setattr(monoval, "_power", lambda p, n: calls.append(n) or power(p, n))
+    for _ in range(5):
+        f = MultivariatePoly(2, {
+            (rng.randint(0, 120), rng.randint(0, 120)): random_element(rng)
+            for _ in range(rng.randint(1, 3))
+        })
+        values = []
+        while len(values) < 2:
+            v = BaseElement(random_poly_t(rng, 1), random_poly_t(rng, 1, nonzero_const=True))
+            values += [v] * (len(v._den) > 1)
+        calls.clear()
+        got = f.evaluate(values)
+        assert len(calls) == sum(2 * len(set(col)) + 1 for col in zip(*f.terms))
+        assert got == reference_evaluate(f, values), (f, values)
 
 
 def test_product_matches_termwise_reference_sampled():

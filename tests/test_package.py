@@ -53,7 +53,7 @@ def test_text_io_names_its_encoding():
 
 # the line count of src/degenskel/*.py; growth past it must name its budget
 # and raise the cap in the same change
-SRC_LINE_CAP = 2436
+SRC_LINE_CAP = 2447
 
 
 def test_source_stays_within_its_line_cap():
